@@ -2,7 +2,7 @@
 and the regression-orthogonality probe."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -209,7 +209,6 @@ class KdeModel:
     m_class0: np.ndarray
     m_class1: np.ndarray
     degenerate: bool
-    samples: tuple = field(default=(), repr=False)
 
 
 def _scott_bandwidth(points):
@@ -280,7 +279,6 @@ def kde_fit(class0, class1, h=None, nodes=None):
         h=h, axes=axes, f0=f0, f1=f1, delta=delta,
         grid_shape=tuple(len(ax) for ax in axes),
         m_class0=m0, m_class1=m1, degenerate=degenerate,
-        samples=(c0, c1),
     )
 
 

@@ -14,16 +14,8 @@ import numpy as np
 from . import binio
 from .errors import ConfigError, InputError, NumericError
 from .numcore import AdamState, Mlp, Rng, adam_step, sinusoidal_features
-from .dynsim import Condition
-from .diffusion import FeatureLatent
 
 CHECKPOINT_MAGIC = b"ENC1"
-
-
-@dataclass(frozen=True)
-class Embedding:
-    c: np.ndarray
-    condition: Condition
 
 
 @dataclass
@@ -159,11 +151,7 @@ class EncoderModel:
 
 
 def embed(encoder, z, cond=None):
-    """Deterministic forward pass; FeatureLatent in -> Embedding out."""
-    if isinstance(z, FeatureLatent):
-        cond_arr = np.array([z.condition.tau, z.condition.mu])
-        c = encoder.forward(z.z, cond_arr if encoder.use_condition else None)[0]
-        return Embedding(c=c, condition=z.condition)
+    """Deterministic forward pass of latents (D,) or (n, D)."""
     single = np.ndim(z) == 1
     out = encoder.forward(z, cond)
     return out[0] if single else out

@@ -13,7 +13,6 @@ import numpy as np
 from . import binio
 from .errors import ConfigError, NumericError, ShapeError
 from .numcore import AdamState, Mlp, Rng, adam_step, sinusoidal_features
-from .dynsim import Condition
 
 CHECKPOINT_MAGIC = b"DNZ1"
 
@@ -44,13 +43,6 @@ def forward_noise(x, t, eps, sched):
     if np.ndim(x) == 2 and np.ndim(a) == 1:
         a = a[:, None]
     return np.sqrt(a) * x + np.sqrt(1.0 - a) * eps
-
-
-@dataclass(frozen=True)
-class FeatureLatent:
-    z: np.ndarray
-    condition: Condition
-    steps: int
 
 
 class DenoiserModel:
@@ -198,14 +190,8 @@ def invert_step(z, eps, t_lo, t_hi, sched):
 
 
 def ddim_sample(model, z, sched, steps, cond=None):
-    """Run the DDIM recursion from the top noise level down to a state.
-
-    `z` may be a FeatureLatent (condition taken from it) or an array of
-    shape (D,) / (n, D) with `cond` supplied explicitly.
-    """
-    if isinstance(z, FeatureLatent):
-        cond = np.array([z.condition.tau, z.condition.mu][: model.cond_components])
-        z = z.z
+    """Run the DDIM recursion from the top noise level down to a state;
+    `z` has shape (D,) or (n, D), `cond` one row per state or one shared."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64)).copy()
     ts = strided_steps(sched.T, steps)
     for t_hi, t_lo in zip(ts, ts[1:] + [0]):
@@ -214,12 +200,9 @@ def ddim_sample(model, z, sched, steps, cond=None):
     return z[0] if z.shape[0] == 1 and np.ndim(cond) <= 1 else z
 
 
-def ddim_invert(model, x, y, sched, steps):
+def ddim_invert(model, x, cond, sched, steps):
     """Map a state (batch) to its top-level feature latent."""
-    if isinstance(y, Condition):
-        cond = np.array([y.tau, y.mu][: model.cond_components])
-    else:
-        cond = np.asarray(y, dtype=np.float64)
+    cond = np.asarray(cond, dtype=np.float64)
     single = np.ndim(x) == 1
     z = np.atleast_2d(np.asarray(x, dtype=np.float64)).copy()
     ts = strided_steps(sched.T, steps)
@@ -227,8 +210,6 @@ def ddim_invert(model, x, y, sched, steps):
     for t_lo, t_hi in zip(ascending, ascending[1:]):
         eps = model.predict(z, t_hi, cond)
         z = invert_step(z, eps, t_lo, t_hi, sched)
-    if single and isinstance(y, Condition):
-        return FeatureLatent(z=z[0], condition=y, steps=int(steps))
     return z[0] if single else z
 
 

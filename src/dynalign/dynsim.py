@@ -49,9 +49,6 @@ class Trajectory:
         cond = Condition(float(self.taus[i]), self.mu, self.class_label)
         return StateFrame(self.xs[i], cond)
 
-    def frames(self):
-        return [self.frame(i) for i in range(len(self))]
-
 
 class OscillatorMap:
     """Fixed seeded embedding R^2 -> R^D and its iterative inverse."""
@@ -104,10 +101,11 @@ class Dataset:
         self.state_dim = self.trajectories[0].xs.shape[1]
 
     def indices(self, split):
-        return [i for i, s in enumerate(self.splits) if s == split]
+        """Trajectory indices of a split; every trajectory when split is None."""
+        return [i for i, s in enumerate(self.splits) if split is None or s == split]
 
     def stack(self, split):
-        """Flatten a split into aligned per-frame arrays."""
+        """Flatten a split (every trajectory when None) into aligned per-frame arrays."""
         idx = self.indices(split)
         if not idx:
             raise InputError(f"no trajectories in split {split!r}")

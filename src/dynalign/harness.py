@@ -255,7 +255,10 @@ def _dataset_key(cfg):
 
 
 def _diffusion_key(cfg):
-    return _stage_hash(_dataset_key(cfg), dataclasses.asdict(cfg.diffusion))
+    # Training never reads `steps`; only the latents depend on it.
+    fields = dataclasses.asdict(cfg.diffusion)
+    del fields["steps"]
+    return _stage_hash(_dataset_key(cfg), fields)
 
 
 def _latents_key(cfg):
@@ -273,7 +276,6 @@ class Workspace:
     """Output directory with stage-hashed caching."""
 
     def __init__(self, out_dir, cfg, force=False):
-        self.out = out_dir
         self.cfg = cfg
         self.force = force
         self.cache = os.path.join(out_dir, "cache")
@@ -287,16 +289,16 @@ class Workspace:
         return os.path.join(self.cache, f"{stage}-{key}.{ext}")
 
     def stage(self, name, key, writer, reader):
-        """Run or reuse one cached stage; returns the loaded artifact."""
+        """Run or reuse one cached stage; returns the loaded artifact. Its
+        seconds (write and read on a miss, read on a hit) go to timings."""
         path = self.path(name, key)
-        if not self.force and os.path.exists(path):
-            self.artifacts.append(path)
-            return reader(path)
         start = time.perf_counter()
-        writer(path)
+        if self.force or not os.path.exists(path):
+            writer(path)
+        artifact = reader(path)
         self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
         self.artifacts.append(path)
-        return reader(path)
+        return artifact
 
     def manifest(self, command, summary):
         doc = {
@@ -307,7 +309,7 @@ class Workspace:
             "stage_seconds": {k: round(v, 3) for k, v in self.timings.items()},
             "metrics_summary": summary,
         }
-        path = os.path.join(self.run_dir, "manifest.json")
+        path = os.path.join(self.run_dir, f"manifest-{command}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         return path
@@ -350,16 +352,11 @@ def stage_latents(ws, ds, model, sched):
     cfg = ws.cfg
 
     def write(path):
-        n_traj = len(ds.trajectories)
-        S = len(ds.trajectories[0])
-        D = ds.state_dim
-        xs = np.concatenate([t.xs for t in ds.trajectories])
-        taus = np.concatenate([t.taus for t in ds.trajectories])
-        mus = np.concatenate([np.full(len(t), t.mu) for t in ds.trajectories])
-        conds = diffusion.condition_columns(taus, mus, model.cond_components)
-        z = diffusion.ddim_invert(model, xs, conds, sched, cfg.diffusion.steps)
+        frames = ds.stack(None)
+        conds = diffusion.condition_columns(frames["tau"], frames["mu"], model.cond_components)
+        z = diffusion.ddim_invert(model, frames["x"], conds, sched, cfg.diffusion.steps)
         binio.write_envelope(path, LATENTS_MAGIC, {"steps": cfg.diffusion.steps},
-                             {"z": z.reshape(n_traj, S, D)})
+                             {"z": z.reshape(len(ds.trajectories), -1, ds.state_dim)})
 
     def read(path):
         _, arrays = binio.read_envelope(path, LATENTS_MAGIC)
@@ -368,11 +365,33 @@ def stage_latents(ws, ds, model, sched):
     return ws.stage("latents", _latents_key(cfg), write, read)
 
 
-def _flatten(ds, z_all, split):
-    idx = ds.indices(split)
+def _upstream(ws, emb_cfg, tag):
+    """The cached chain every command starts with: dataset -> diffusion ->
+    latents -> encoder. The stages run one after another from here, never
+    inside another stage's writer, so each stage's seconds are its own."""
+    ds = stage_dataset(ws)
+    model, sched = stage_diffusion(ws, ds)
+    z_all = stage_latents(ws, ds, model, sched)
+    encoder = stage_encoder(ws, ds, z_all, emb_cfg, tag=tag)
+    return ds, model, sched, z_all, encoder
+
+
+def _flatten(ds, z_all, split=None):
+    """Aligned per-frame arrays of one split (every trajectory when None),
+    with the latents under "z"."""
     data = ds.stack(split)
-    data["z"] = np.concatenate([z_all[i] for i in idx])
+    data["z"] = np.concatenate([z_all[i] for i in ds.indices(split)])
     return data
+
+
+def embed_frames(encoder, ds, z_all, split=None):
+    """Embed one split's frames in one batch, as (n, d) rows; with no split,
+    every frame, as an (n_traj, S, d) array. A conditioned encoder also gets
+    each frame's (tau, mu)."""
+    frames = _flatten(ds, z_all, split)
+    cond = np.stack([frames["tau"], frames["mu"]], axis=1) if encoder.use_condition else None
+    c = contrastive.embed(encoder, frames["z"], cond)
+    return c if split else c.reshape(z_all.shape[0], z_all.shape[1], -1)
 
 
 def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
@@ -404,24 +423,14 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
     return ws.stage(tag, _encoder_key(cfg, emb_cfg), write, contrastive.load_encoder)
 
 
-def _embed_all(encoder, z_all, ds):
-    n_traj, S, D = z_all.shape
-    flat = z_all.reshape(n_traj * S, D)
-    if encoder.use_condition:
-        conds = np.concatenate(
-            [np.stack([t.taus, np.full(len(t), t.mu)], axis=1) for t in ds.trajectories]
-        )
-        c = contrastive.embed(encoder, flat, conds)
-    else:
-        c = contrastive.embed(encoder, flat)
-    return c.reshape(n_traj, S, encoder.embed_dim)
-
-
-def stage_table(ws, ds, z_all, encoder, tag="table"):
+def stage_table(ws, ds, z_all, encoder, emb_cfg=None, tag="table"):
+    """kNN lifting table of `encoder`, trained under `emb_cfg` (the config's
+    embedding section by default), which keys the cache."""
     cfg = ws.cfg
+    emb_cfg = emb_cfg or cfg.embedding
 
     def write(path):
-        c_all = _embed_all(encoder, z_all, ds)
+        c_all = embed_frames(encoder, ds, z_all)
         train_idx = ds.indices("train")
         n_hold = max(1, int(round(len(train_idx) * cfg.lifting.holdout_fraction)))
         hold_idx = train_idx[-n_hold:]
@@ -438,12 +447,18 @@ def stage_table(ws, ds, z_all, encoder, tag="table"):
         table.k = lifting.select_k(table, cfg.lifting.k_grid, c_hold, z_hold)
         lifting.save_table(table, path)
 
-    key = _stage_hash(_encoder_key(cfg, cfg.embedding), dataclasses.asdict(cfg.lifting), tag)
+    key = _stage_hash(_encoder_key(cfg, emb_cfg), dataclasses.asdict(cfg.lifting), tag)
     return ws.stage(tag, key, write, lifting.load_table)
 
 
 # ---------------------------------------------------------------------------
 # Output helpers
+
+
+def row(cfg, space, method, metric, value, n, std=None):
+    """One CSV result row of this config's dataset and seed."""
+    return dict(dataset=cfg.dataset.name, space=space, method=method, metric=metric,
+                value=value, std=std, n=n, seed=cfg.seed)
 
 
 def format_float(v):
@@ -510,10 +525,9 @@ def render_states(xs, grid, mapping):
 
 
 def _space_vectors(cfg, ds, z_all, encoder):
-    """name -> dict(vectors (n_traj, S, dim), renderable, lift function)."""
-    spaces = {"Z": {"vectors": z_all, "renderable": True}}
-    c_all = _embed_all(encoder, z_all, ds)
-    spaces["C"] = {"vectors": c_all, "renderable": True}
+    """name -> dict(vectors (n_traj, S, dim), renderable)."""
+    spaces = {"Z": {"vectors": z_all, "renderable": True},
+              "C": {"vectors": embed_frames(encoder, ds, z_all), "renderable": True}}
     if cfg.traversal.include_pca:
         train_idx = ds.indices("train")
         flat_train = np.concatenate([z_all[i] for i in train_idx])
@@ -597,7 +611,6 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
     n_render = min(tcfg.render_targets_per_traj, len(targets))
     render_targets = targets[:: max(1, len(targets) // max(n_render, 1))][:n_render]
 
-    dataset_name = cfg.dataset.name
     rows = []
     strips = {}
     grid = cfg.render_grid
@@ -613,9 +626,7 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
         train_vecs = np.concatenate([vecs_all[i] for i in train_idx])
         center = train_vecs.mean(axis=0)
         scale = float(np.sqrt(np.mean((train_vecs - center) ** 2)))
-        rows.append(dict(dataset=dataset_name, space=space, method="all",
-                         metric="space_scale", value=scale, std=None,
-                         n=train_vecs.shape[0], seed=cfg.seed))
+        rows.append(row(cfg, space, "all", "space_scale", scale, train_vecs.shape[0]))
 
         rec = traversal.RecurrentPredictor(
             vecs_all.shape[2], hidden=tcfg.recurrent_hidden,
@@ -645,16 +656,11 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
             preds = np.stack(preds)
             truths = np.stack(truths)
             err = metrics.rmse(preds, truths)
-            rows.append(dict(dataset=dataset_name, space=space, method=method,
-                             metric="rmse", value=err, std=None,
-                             n=preds.shape[0], seed=cfg.seed))
-            rows.append(dict(dataset=dataset_name, space=space, method=method,
-                             metric="rmse_norm", value=err / scale, std=None,
-                             n=preds.shape[0], seed=cfg.seed))
+            rows.append(row(cfg, space, method, "rmse", err, preds.shape[0]))
+            rows.append(row(cfg, space, method, "rmse_norm", err / scale, preds.shape[0]))
             taes = np.array(per_traj_tae)
-            rows.append(dict(dataset=dataset_name, space=space, method=method,
-                             metric="tae", value=float(taes.mean()),
-                             std=float(taes.std()), n=taes.size, seed=cfg.seed))
+            rows.append(row(cfg, space, method, "tae", float(taes.mean()), taes.size,
+                            float(taes.std())))
 
             if info["renderable"]:
                 keys = sorted(render_preds)
@@ -673,12 +679,9 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
                 imgs = render_states(np.atleast_2d(x_hat), grid, ds.mapping)
                 ps = [metrics.psnr(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
                 ss = [metrics.ssim(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
-                rows.append(dict(dataset=dataset_name, space=space, method=method,
-                                 metric="psnr", value=float(np.mean(ps)),
-                                 std=float(np.std(ps)), n=len(ps), seed=cfg.seed))
-                rows.append(dict(dataset=dataset_name, space=space, method=method,
-                                 metric="ssim", value=float(np.mean(ss)),
-                                 std=float(np.std(ss)), n=len(ss), seed=cfg.seed))
+                for metric, vals in (("psnr", ps), ("ssim", ss)):
+                    rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
+                                    len(vals), float(np.std(vals))))
                 first = test_idx[0]
                 strip = [imgs[i] for i, k in enumerate(keys) if k[0] == first]
                 if strip:
@@ -694,10 +697,8 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
                 metrics.procrustes_distance(flat2, ds.trajectories[ti].ss)
             )
         disparities = np.array(disparities)
-        rows.append(dict(dataset=dataset_name, space=space, method="alignment",
-                         metric="procrustes", value=float(disparities.mean()),
-                         std=float(disparities.std()), n=disparities.size,
-                         seed=cfg.seed))
+        rows.append(row(cfg, space, "alignment", "procrustes", float(disparities.mean()),
+                        disparities.size, float(disparities.std())))
 
     first = test_idx[0]
     strips["truth"] = hstack_images(
@@ -710,11 +711,22 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
 # Commands
 
 
+def _finish(ws, command, csv_name, rows, summary, images=None, **result):
+    """Write a command's PGM images (name -> image, relative to the run
+    directory) and CSV rows, then its manifest; returns the result dict."""
+    for name, img in sorted((images or {}).items()):
+        path = os.path.join(ws.run_dir, f"{name}.pgm")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        ws.artifacts.append(write_pgm(path, img))
+    csv_path = write_csv(os.path.join(ws.run_dir, csv_name), rows)
+    ws.artifacts.append(csv_path)
+    return dict(result, rows=rows, csv=csv_path, run_dir=ws.run_dir,
+                manifest=ws.manifest(command, summary))
+
+
 def cmd_simulate(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
-    t0 = time.perf_counter()
     ds = stage_dataset(ws)
-    ws.timings.setdefault("dataset", time.perf_counter() - t0)
     summary = {
         "n_traj": len(ds.trajectories),
         "n_train": len(ds.indices("train")),
@@ -725,29 +737,15 @@ def cmd_simulate(cfg, out_dir, force=False):
     return {"dataset": ws.path("dataset", _dataset_key(cfg)), "manifest": manifest}
 
 
-def _pipeline_artifacts(ws):
-    ds = stage_dataset(ws)
-    model, sched = stage_diffusion(ws, ds)
-    z_all = stage_latents(ws, ds, model, sched)
-    encoder = stage_encoder(ws, ds, z_all, ws.cfg.embedding)
-    table = stage_table(ws, ds, z_all, encoder)
-    return ds, model, sched, z_all, encoder, table
-
-
 def cmd_pipeline(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
-    ds, model, sched, z_all, encoder, table = _pipeline_artifacts(ws)
+    ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
+    table = stage_table(ws, ds, z_all, encoder)
     t0 = time.perf_counter()
     rows, strips = evaluate_traversal(
         cfg, ds, model, sched, z_all, encoder, table, Rng(cfg.seed).stream("traversal")
     )
     ws.timings["evaluate"] = time.perf_counter() - t0
-    csv_path = write_csv(os.path.join(ws.run_dir, "pipeline.csv"), rows)
-    ws.artifacts.append(csv_path)
-    strip_dir = os.path.join(ws.run_dir, "strips")
-    os.makedirs(strip_dir, exist_ok=True)
-    for name, img in sorted(strips.items()):
-        ws.artifacts.append(write_pgm(os.path.join(strip_dir, f"{name}.pgm"), img))
     summary = {
         f"{r['space']}/{r['method']}/{r['metric']}": r["value"]
         for r in rows
@@ -755,8 +753,8 @@ def cmd_pipeline(cfg, out_dir, force=False):
     }
     with open(os.path.join(ws.run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    manifest = ws.manifest("pipeline", summary)
-    return {"rows": rows, "csv": csv_path, "manifest": manifest, "run_dir": ws.run_dir}
+    images = {f"strips/{name}": img for name, img in strips.items()}
+    return _finish(ws, "pipeline", "pipeline.csv", rows, summary, images)
 
 
 def _band_folds(mus, folds):
@@ -781,7 +779,7 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
     mus = np.array([t.mu for t in ds.trajectories])
     if labels is None:
         labels = np.array([t.class_label for t in ds.trajectories])
-    c_all = _embed_all(encoder, z_all, ds)
+    c_all = embed_frames(encoder, ds, z_all)
     feats = {
         "Z": z_all[:, frame_sel, :],
         "C": c_all[:, frame_sel, :],
@@ -828,46 +826,35 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
             }
             results[(space, kernel)] = vals
             for metric, value in vals.items():
-                rows.append(dict(dataset=cfg.dataset.name, space=space,
-                                 method=f"svm-{kernel}", metric=metric,
-                                 value=value, std=None, n=truth.size, seed=cfg.seed))
+                rows.append(row(cfg, space, f"svm-{kernel}", metric, value, truth.size))
     return rows, results
 
 
 def cmd_classify(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
-    ds = stage_dataset(ws)
-    model, sched = stage_diffusion(ws, ds)
-    z_all = stage_latents(ws, ds, model, sched)
     emb = dataclasses.replace(cfg.embedding, class_match=True)
-    encoder = stage_encoder(ws, ds, z_all, emb, tag="encoder-classify")
+    ds, _, _, z_all, encoder = _upstream(ws, emb, "encoder-classify")
     t0 = time.perf_counter()
     rows, results = classification_metrics(
         cfg, ds, z_all, encoder, Rng(cfg.seed).stream("classify")
     )
     ws.timings["classify"] = time.perf_counter() - t0
-    csv_path = write_csv(os.path.join(ws.run_dir, "classification.csv"), rows)
-    ws.artifacts.append(csv_path)
     summary = {f"{s}/{k}": v for (s, k), v in results.items()}
-    manifest = ws.manifest("classify", summary)
-    return {"rows": rows, "results": results, "csv": csv_path, "manifest": manifest}
+    return _finish(ws, "classify", "classification.csv", rows, summary, results=results)
 
 
 def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False):
     ws = Workspace(out_dir, cfg, force)
-    ds = stage_dataset(ws)
-    model, sched = stage_diffusion(ws, ds)
-    z_all = stage_latents(ws, ds, model, sched)
     # Structure-retaining compact embedding (same family as the probe): the
     # peak-to-peak segment then crosses intermediate regimes instead of the
     # empty gap between class-collapsed clusters.
     emb = dataclasses.replace(
         probe_embedding_config(cfg), d=min(cfg.analysis.kde_d, 3)
     )
-    encoder = stage_encoder(ws, ds, z_all, emb, tag="encoder-kde")
-    table = stage_table(ws, ds, z_all, encoder, tag="table-kde")
+    ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-kde")
+    table = stage_table(ws, ds, z_all, encoder, emb, tag="table-kde")
 
-    c_all = _embed_all(encoder, z_all, ds)
+    c_all = embed_frames(encoder, ds, z_all)
     train = ds.indices("train")
     labels = np.array([ds.trajectories[i].class_label for i in train])
     c_train = np.stack([c_all[i] for i in train])
@@ -884,7 +871,7 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
                            "no traversal direction exists")
 
     train_flat = _flatten(ds, z_all, "train")
-    c_flat = contrastive.embed(encoder, train_flat["z"])
+    c_flat = embed_frames(encoder, ds, z_all, "train")
 
     def peak_condition(point):
         # Mean (tau, mu) of the frames whose embeddings sit nearest the peak.
@@ -895,7 +882,6 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
     tau1, mu1 = peak_condition(kde.m_class1)
 
     frames = []
-    rows = []
     for eta in eta_list:
         c_eta = analysis.kde_traverse(kde, float(eta))
         z_eta = lifting.lift(table, c_eta)
@@ -907,51 +893,32 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
         x_hat = diffusion.ddim_sample(model, z_eta[None, :], sched,
                                       cfg.diffusion.steps, cond=cond)
         frames.append(dynsim.render(x_hat[0], cfg.render_grid, ds.mapping))
-    strip_dir = os.path.join(ws.run_dir, "kde")
-    os.makedirs(strip_dir, exist_ok=True)
-    ws.artifacts.append(
-        write_pgm(os.path.join(strip_dir, "morph-strip.pgm"), hstack_images(frames))
-    )
-    diff_imgs = []
-    for i, eta in enumerate(eta_list):
-        diff = frames[i] - frames[0]
-        rows.append(dict(dataset=cfg.dataset.name, space="C",
-                         method=f"kde@{float(eta):g}", metric="diff_l1",
-                         value=float(np.abs(diff).sum()), std=None,
-                         n=diff.size, seed=cfg.seed))
-        diff_imgs.append(0.5 + 0.5 * diff)
-    ws.artifacts.append(
-        write_pgm(os.path.join(strip_dir, "diff-strip.pgm"), hstack_images(diff_imgs))
-    )
-    csv_path = write_csv(os.path.join(ws.run_dir, "kde.csv"), rows)
-    ws.artifacts.append(csv_path)
-    manifest = ws.manifest("kde-edit", {"etas": list(map(float, eta_list))})
-    return {"rows": rows, "frames": frames, "csv": csv_path, "manifest": manifest,
-            "peaks": (kde.m_class0.tolist(), kde.m_class1.tolist())}
+    diffs = [frame - frames[0] for frame in frames]
+    rows = [row(cfg, "C", f"kde@{float(eta):g}", "diff_l1", float(np.abs(diff).sum()),
+                diff.size)
+            for eta, diff in zip(eta_list, diffs)]
+    images = {"kde/morph-strip": hstack_images(frames),
+              "kde/diff-strip": hstack_images([0.5 + 0.5 * diff for diff in diffs])}
+    return _finish(ws, "kde-edit", "kde.csv", rows, {"etas": list(map(float, eta_list))},
+                   images, frames=frames,
+                   peaks=(kde.m_class0.tolist(), kde.m_class1.tolist()))
 
 
 def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
     if len(d_list) == 0:
         raise ConfigError("dimension list must be nonempty", field="sweep.d_list")
-    all_rows = []
+    rows = []
     for d in d_list:
-        sub = dataclasses.replace(cfg)
-        sub.embedding = dataclasses.replace(cfg.embedding, d=int(d))
-        result = cmd_pipeline(sub, out_dir, force=force)
-        for r in result["rows"]:
-            r = dict(r)
-            r["dataset"] = f"{cfg.dataset.name}:d{int(d)}"
-            all_rows.append(r)
+        sub = dataclasses.replace(cfg, embedding=dataclasses.replace(cfg.embedding, d=int(d)))
+        tag = f"{cfg.dataset.name}:d{int(d)}"
+        rows += [dict(r, dataset=tag) for r in cmd_pipeline(sub, out_dir, force=force)["rows"]]
     ws = Workspace(out_dir, cfg, force)
-    csv_path = write_csv(os.path.join(ws.run_dir, "sweep-dim.csv"), all_rows)
-    ws.artifacts.append(csv_path)
-    manifest = ws.manifest("sweep-dim", {"d_list": [int(d) for d in d_list]})
-    return {"rows": all_rows, "csv": csv_path, "manifest": manifest}
+    return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 
 
 def orthogonality_values(cfg, ds, z_all, encoder):
     test = _flatten(ds, z_all, "test")
-    c_test = contrastive.embed(encoder, test["z"])
+    c_test = embed_frames(encoder, ds, z_all, "test")
     return {
         "Z": analysis.orthogonality_probe(test["z"], test["tau"], test["mu"]),
         "C": analysis.orthogonality_probe(c_test, test["tau"], test["mu"]),
@@ -973,22 +940,13 @@ def probe_embedding_config(cfg):
 
 def cmd_probe_orthogonality(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
-    ds = stage_dataset(ws)
-    model, sched = stage_diffusion(ws, ds)
-    z_all = stage_latents(ws, ds, model, sched)
-    encoder = stage_encoder(ws, ds, z_all, probe_embedding_config(cfg),
-                            tag="encoder-probe")
+    ds, _, _, z_all, encoder = _upstream(ws, probe_embedding_config(cfg), "encoder-probe")
     values = orthogonality_values(cfg, ds, z_all, encoder)
-    rows = [
-        dict(dataset=cfg.dataset.name, space=space, method="ols-probe",
-             metric="regression_cosine", value=v, std=None,
-             n=len(ds.indices("test")) * z_all.shape[1], seed=cfg.seed)
-        for space, v in values.items()
-    ]
-    csv_path = write_csv(os.path.join(ws.run_dir, "orthogonality.csv"), rows)
-    ws.artifacts.append(csv_path)
-    manifest = ws.manifest("probe-orthogonality", values)
-    return {"rows": rows, "values": values, "csv": csv_path, "manifest": manifest}
+    n = len(ds.indices("test")) * z_all.shape[1]
+    rows = [row(cfg, space, "ols-probe", "regression_cosine", v, n)
+            for space, v in values.items()]
+    return _finish(ws, "probe-orthogonality", "orthogonality.csv", rows, values,
+                   values=values)
 
 
 # ---------------------------------------------------------------------------

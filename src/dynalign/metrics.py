@@ -1,23 +1,11 @@
 """Evaluation metrics: RMSE, PSNR, SSIM, total absolute error, and
 Procrustes shape disparity."""
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import InputError
 
 PSNR_CAP_DB = 100.0
-
-
-@dataclass
-class MetricReport:
-    name: str
-    value: float
-    std: Optional[float] = None
-    n: int = 1
-    tags: dict = field(default_factory=dict)
 
 
 def _aligned(pred, truth):

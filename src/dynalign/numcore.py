@@ -53,20 +53,6 @@ class Rng:
         return self._gen.choice(n, size=size, replace=replace)
 
 
-def matmul(a, b):
-    """Matrix product with shape validation; inputs 2-D float arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matmul produced non-finite entries")
-    return out
-
-
 class AdamState:
     """Bias-corrected Adam moments for a named parameter collection."""
 

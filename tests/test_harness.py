@@ -1,4 +1,7 @@
+import glob
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -22,6 +25,36 @@ TINY = {
     "analysis": {"svm_steps": 2000, "folds": 3, "frames_per_traj_class": 6,
                   "kde_frames_per_class": 40},
 }
+
+
+# sha256 over "<relative path> <file sha256>" lines of every CSV and PGM each
+# command writes on TINY, recorded with numpy 2.4.6 (OpenBLAS 0.3.31, x86-64).
+# Another numpy or BLAS build may round the last bits differently.
+RECORDED_NUMPY = "2.4.6"
+TINY_OUTPUT_DIGESTS = {
+    "pipeline": "549398eb3f84e37b9c0b0a924d88e320acd34ee29a9618bbeb146d285f978b5c",
+    "classify": "e407355909f34674ce8e25946f750e97a57df1dc7e949027cb9f5ac356ba4759",
+    "kde-edit": "e9577ca2a830a5a13b0ac43357483d103496628561c226f7b474f96826d47912",
+    "probe-orthogonality": "a5b6bd63da4eaab8ab53559ff25da9809708784626fb9dfd590a3098b3ecf4c7",
+    "sweep-dim": "247c06917367e02d5293daa9f3b1a0cdceee822c80a501dd384a58e1b6c3bc46",
+}
+COMMANDS = {
+    "pipeline": harness.cmd_pipeline,
+    "classify": harness.cmd_classify,
+    "kde-edit": harness.cmd_kde_edit,
+    "probe-orthogonality": harness.cmd_probe_orthogonality,
+    "sweep-dim": lambda cfg, out: harness.cmd_sweep_dim(cfg, out, [2, 3]),
+}
+
+
+def output_digest(out_dir):
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(out_dir, "**"), recursive=True)):
+        if path.endswith((".csv", ".pgm")):
+            blob = open(path, "rb").read()
+            h.update(f"{os.path.relpath(path, out_dir)} {hashlib.sha256(blob).hexdigest()}\n"
+                     .encode())
+    return h.hexdigest()
 
 
 def tiny_config(**overrides):
@@ -147,6 +180,19 @@ class TestPipelineSmall:
         res2 = harness.cmd_pipeline(tiny_config(), str(out))
         assert open(res2["csv"], "rb").read() == blob
 
+    def test_cache_hit_rerun_times_every_upstream_stage(self, result):
+        _, out = result
+        res = harness.cmd_pipeline(tiny_config(), str(out))
+        seconds = json.load(open(res["manifest"]))["stage_seconds"]
+        assert {"dataset", "diffusion", "latents", "encoder", "table"} <= set(seconds)
+
+    def test_each_command_keeps_its_manifest(self, result):
+        res, out = result
+        harness.cmd_classify(tiny_config(), str(out))
+        for command in ("pipeline", "classify"):
+            path = os.path.join(res["run_dir"], f"manifest-{command}.json")
+            assert json.load(open(path))["command"] == command
+
     def test_commands_do_not_mutate_dataset_file(self, result):
         res, out = result
         cfg = tiny_config()
@@ -186,6 +232,37 @@ class TestSweepAndErrors:
         par = harness.render_states(xs, 16, ds.mapping)
         for a, b in zip(seq, par):
             assert np.array_equal(a, b)
+
+
+class TestStageChain:
+    @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                        reason=f"digests recorded with numpy {RECORDED_NUMPY}")
+    @pytest.mark.parametrize("command", sorted(TINY_OUTPUT_DIGESTS))
+    def test_outputs_match_recorded_bytes(self, tmp_path, command):
+        COMMANDS[command](tiny_config(), str(tmp_path))
+        assert output_digest(str(tmp_path)) == TINY_OUTPUT_DIGESTS[command]
+
+    @pytest.mark.parametrize("command",
+                             ["pipeline", "classify", "kde-edit", "probe-orthogonality"])
+    def test_conditioned_encoder_serves_every_command(self, tmp_path, command):
+        res = COMMANDS[command](tiny_config(embedding={"use_condition": True}),
+                                str(tmp_path))
+        assert res["rows"] and all(np.isfinite(r["value"]) for r in res["rows"])
+
+    def test_kde_table_follows_kde_dimension(self, tmp_path):
+        harness.cmd_kde_edit(tiny_config(), str(tmp_path))
+        res = harness.cmd_kde_edit(tiny_config(analysis={"kde_d": 2}), str(tmp_path))
+        assert all(len(peak) == 2 for peak in res["peaks"])
+        assert len(list((tmp_path / "cache").glob("table-kde-*.bin"))) == 2
+
+    def test_steps_change_reuses_the_denoiser(self, tmp_path):
+        for steps in (8, 4):
+            ws = harness.Workspace(str(tmp_path), tiny_config(diffusion={"steps": steps}))
+            ds = harness.stage_dataset(ws)
+            model, sched = harness.stage_diffusion(ws, ds)
+            harness.stage_latents(ws, ds, model, sched)
+        assert len(list((tmp_path / "cache").glob("diffusion-*.bin"))) == 1
+        assert len(list((tmp_path / "cache").glob("latents-*.bin"))) == 2
 
 
 class TestCli:

@@ -4,57 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from dynalign.errors import NumericError, ShapeError
+from dynalign.errors import NumericError
 from dynalign.numcore import (
-    AdamState, Mlp, Rng, adam_step, grad_check, matmul, sinusoidal_features,
+    AdamState, Mlp, Rng, adam_step, grad_check, sinusoidal_features,
 )
-
-
-def triple_loop_matmul(a, b):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = Rng(0)
-        a = rng.normal((3, 3))
-        assert np.allclose(matmul(np.eye(3), a), a)
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        z = np.zeros((2, 1))
-        assert np.array_equal(matmul(a, z), np.zeros((2, 1)))
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(7)
-        a = rng.normal((5, 4))
-        b = rng.normal((4, 3))
-        assert np.max(np.abs(matmul(a, b) - triple_loop_matmul(a, b))) < 1e-12
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associative_on_random_triples(self):
-        rng = Rng(3)
-        for trial in range(10):
-            sub = rng.substream(trial)
-            a = sub.uniform(-1, 1, (4, 5))
-            b = sub.uniform(-1, 1, (5, 6))
-            c = sub.uniform(-1, 1, (6, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = np.abs(left) + np.abs(right) + 1.0
-            assert np.max(np.abs(left - right) / denom) < 1e-10
 
 
 class TestRng:
