@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import binio
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ShapeError
 from .numcore import AdamState, Mlp, Rng, adam_step, sinusoidal_features
 
 CHECKPOINT_MAGIC = b"ENC1"
@@ -21,13 +21,14 @@ CHECKPOINT_MAGIC = b"ENC1"
 @dataclass
 class ContrastiveBatch:
     embeddings: np.ndarray     # (n, d)
-    positives: list            # per-anchor index arrays; empty sets are dropped
+    positives: np.ndarray      # (n, n) bool mask, diagonal False (or per-anchor index arrays)
     tau: float
 
 
 def build_positives(taus, mus, delta_t, delta_y=None, labels=None,
                     class_match=False, traj_ids=None, cross_trajectory_time=False):
-    """Positive index sets from time/condition proximity.
+    """Positive mask from time/condition proximity: an (n, n) boolean array
+    whose row i marks anchor i's positives; the diagonal is False.
 
     Same-trajectory frames share mu exactly, so trajectory identity defaults
     to exact mu equality; pass traj_ids to override. delta_y=None disables
@@ -55,10 +56,24 @@ def build_positives(taus, mus, delta_t, delta_y=None, labels=None,
         labels = np.asarray(labels)
         pos = pos | (labels[:, None] == labels[None, :])
     np.fill_diagonal(pos, False)
-    sets = [np.flatnonzero(row) for row in pos]
-    if all(p.size == 0 for p in sets):
+    if not pos.any():
         raise InputError("degenerate batch: every anchor's positive set is empty")
-    return sets
+    return pos
+
+
+def _positive_mask(positives, n):
+    """The (n, n) positive mask of a batch, diagonal False. Per-anchor index
+    arrays are read as sets: order and repeats do not matter."""
+    if isinstance(positives, np.ndarray) and positives.dtype == bool:
+        if positives.shape != (n, n):
+            raise ShapeError(f"positive mask {positives.shape} does not match batch of {n}")
+        mask = positives.copy()
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        for i, p in enumerate(positives):
+            mask[i, np.asarray(p, dtype=np.int64)] = True
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def infonce_loss(batch):
@@ -84,24 +99,30 @@ def infonce_loss(batch):
     lse = (m + np.log(denom))[:, 0]
     q = expo / denom
 
-    positives = []
-    for i, p in enumerate(batch.positives):
-        p = np.asarray(p, dtype=np.int64)
-        positives.append(p[p != i])
-    anchors = [i for i, p in enumerate(positives) if p.size > 0]
-    if not anchors:
+    mask = _positive_mask(batch.positives, n)
+    counts = mask.sum(axis=1)
+    anchors = counts > 0
+    n_anchor = int(np.count_nonzero(anchors))
+    if n_anchor == 0:
         raise InputError("no anchors with positives")
-    n_anchor = len(anchors)
+    k = counts[anchors]
 
-    loss = 0.0
-    grad_s = np.zeros((n, n))
-    for i in anchors:
-        p = positives[i]
-        loss += lse[i] - np.sum(logits[i, p]) / p.size
-        grad_s[i] = q[i] / (tau * n_anchor)
-        grad_s[i, p] -= 1.0 / (tau * p.size * n_anchor)
-        grad_s[i, i] = 0.0
-    loss /= n_anchor
+    # Each anchor's positive logits, in column order, summed exactly as np.sum
+    # sums them: np.sum adds 0.0 + pairwise(s), reduceat adds s[0] +
+    # pairwise(s[1:]), so every reduceat segment starts with a 0.0.
+    lead = np.cumsum(k + 1) - (k + 1)
+    seg = np.zeros(lead[-1] + k[-1] + 1)
+    body = np.ones(seg.size, dtype=bool)
+    body[lead] = False
+    seg[body] = logits[mask]
+    pos_sum = np.add.reduceat(seg, lead)
+    # A running total over anchors in index order (cumsum adds sequentially).
+    loss = np.cumsum(lse[anchors] - pos_sum / k)[-1] / n_anchor
+
+    grad_s = q / (tau * n_anchor)
+    grad_s[~anchors] = 0.0
+    grad_s[mask] -= np.repeat(1.0 / (tau * k * n_anchor), k)
+    np.fill_diagonal(grad_s, 0.0)
 
     row = grad_s.sum(axis=1)
     col = grad_s.sum(axis=0)

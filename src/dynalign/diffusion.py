@@ -160,12 +160,13 @@ def train(model, ds, sched, epochs, batch, rng, lr=1e-3):
 
 
 def strided_steps(T, steps):
-    """Descending diffusion indices T, T-s, ..., down to (not incl.) 0."""
+    """Descending diffusion indices T - floor(k T / steps), k = 0..steps-1,
+    spread evenly down to (not incl.) 0: every gap, the last one to 0
+    included, is floor(T / steps) or one more. When steps divides T this is
+    T, T-s, ..., s with stride s = T / steps."""
     if steps < 1 or steps > T:
         raise ConfigError(f"steps must lie in [1, {T}]", field="steps")
-    stride = T // steps
-    ts = list(range(T, 0, -stride))[:steps]
-    return ts
+    return [T - k * T // steps for k in range(steps)]
 
 
 def sample_step(z, eps, t_hi, t_lo, sched):

@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -137,14 +137,41 @@ _SECTIONS = {
 }
 
 
+def _is_a(value, kind):
+    """JSON type check: a bool is not a number, and an int is a float."""
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _typed(obj, name, value, path):
+    """`value` for field `name` of config dataclass `obj`, checked against
+    the field's type: its default's type, X for an Optional[X] default of
+    None, and a JSON list of the default's element type for a tuple."""
+    default = getattr(obj, name)
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        if isinstance(value, list) and all(_is_a(v, kind) for v in value):
+            return tuple(value)
+        expected = f"a list of {kind.__name__}"
+    else:
+        optional = default is None
+        kind = get_args(get_type_hints(type(obj))[name])[0] if optional else type(default)
+        if (optional and value is None) or _is_a(value, kind):
+            return value
+        expected = kind.__name__ + (" or null" if optional else "")
+    raise ConfigError(f"expected {expected}, got {value!r}", field=path)
+
+
 def config_from_dict(doc):
-    """Build an ExperimentConfig, rejecting unknown fields with their path."""
+    """Build an ExperimentConfig, rejecting unknown or wrongly typed fields
+    with their path."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     cfg = ExperimentConfig()
     for key, value in doc.items():
         if key in ("seed", "render_grid"):
-            setattr(cfg, key, int(value))
+            setattr(cfg, key, _typed(cfg, key, value, key))
         elif key in _SECTIONS:
             section = getattr(cfg, key)
             if not isinstance(value, dict):
@@ -152,10 +179,7 @@ def config_from_dict(doc):
             for name, item in value.items():
                 if not hasattr(section, name):
                     raise ConfigError("unknown field", field=f"{key}.{name}")
-                current = getattr(section, name)
-                if isinstance(current, tuple) or (current is None and isinstance(item, list)):
-                    item = tuple(item) if isinstance(item, list) else item
-                setattr(section, name, item)
+                setattr(section, name, _typed(section, name, item, f"{key}.{name}"))
         else:
             raise ConfigError("unknown field", field=key)
     validate_config(cfg)
@@ -170,6 +194,8 @@ def validate_config(cfg):
         raise ConfigError("need at least 2 trajectories", field="dataset.n_traj")
     if d.frames_per_traj < 8:
         raise ConfigError("need at least 8 frames", field="dataset.frames_per_traj")
+    if cfg.embedding.d < 1:
+        raise ConfigError("embedding needs at least 1 dimension", field="embedding.d")
     if cfg.diffusion.steps > cfg.diffusion.T:
         raise ConfigError("steps cannot exceed T", field="diffusion.steps")
     if tuple(cfg.diffusion.condition_on) not in (("tau",), ("tau", "mu")):
@@ -907,12 +933,20 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
 def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
     if len(d_list) == 0:
         raise ConfigError("dimension list must be nonempty", field="sweep.d_list")
+    ws = Workspace(out_dir, cfg, force)
     rows = []
     for d in d_list:
-        sub = dataclasses.replace(cfg, embedding=dataclasses.replace(cfg.embedding, d=int(d)))
+        sub = validate_config(
+            dataclasses.replace(cfg, embedding=dataclasses.replace(cfg.embedding, d=int(d))))
         tag = f"{cfg.dataset.name}:d{int(d)}"
-        rows += [dict(r, dataset=tag) for r in cmd_pipeline(sub, out_dir, force=force)["rows"]]
-    ws = Workspace(out_dir, cfg, force)
+        res = cmd_pipeline(sub, out_dir, force=force)
+        rows += [dict(r, dataset=tag) for r in res["rows"]]
+        # Each dimension's pipeline keeps its own workspace; its manifest's
+        # stage seconds and artifacts go into the sweep's, under "d<d>/".
+        with open(res["manifest"]) as fh:
+            done = json.load(fh)
+        ws.timings.update({f"d{int(d)}/{k}": v for k, v in done["stage_seconds"].items()})
+        ws.artifacts += done["artifacts"] + [res["manifest"]]
     return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 
 

@@ -156,23 +156,27 @@ _ACT_MAX_SLOPE = {"silu": 1.1, "tanh": 1.0, "relu": 1.0}
 
 
 def _act_forward(z, kind):
+    """Activation of z and the gate its slope reuses: the sigmoid for silu
+    (built once, in one buffer), tanh(z) for tanh, None for relu."""
     if kind == "silu":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return z * s
+        s = np.negative(z)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        return z * s, s
     if kind == "tanh":
-        return np.tanh(z)
+        t = np.tanh(z)
+        return t, t
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0), None
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _act_backward(z, kind):
+def _act_backward(z, kind, gate):
     if kind == "silu":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 + z * (1.0 - s))
+        return gate * (1.0 + z * (1.0 - gate))
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - gate * gate
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
     raise ValueError(f"unknown activation {kind!r}")
@@ -214,14 +218,16 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ShapeError(f"expected input (*, {self.dims[0]}), got {x.shape}")
-        cache = {"inputs": [x], "pre": []}
+        cache = {"inputs": [x], "pre": [], "gates": []}
         h = x
         for i in range(self.n_layers):
             z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
             if i < self.n_layers - 1:
-                cache["pre"].append(z)
-                h = _act_forward(z, self.activation)
-                cache["inputs"].append(h)
+                h, gate = _act_forward(z, self.activation)
+                if want_cache:
+                    cache["pre"].append(z)
+                    cache["gates"].append(gate)
+                    cache["inputs"].append(h)
             else:
                 h = z
         if want_cache:
@@ -238,7 +244,8 @@ class Mlp:
             grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"w{i}"].T
             if i > 0:
-                delta = delta * _act_backward(cache["pre"][i - 1], self.activation)
+                delta = delta * _act_backward(cache["pre"][i - 1], self.activation,
+                                              cache["gates"][i - 1])
         return grads, delta
 
     def lipschitz_bound(self):

@@ -6,7 +6,7 @@ from dynalign.contrastive import (
     build_positives, embed, infonce_loss, load_encoder, save_encoder,
     train_encoder,
 )
-from dynalign.errors import ConfigError, InputError
+from dynalign.errors import ConfigError, InputError, ShapeError
 from dynalign.numcore import Rng, grad_check
 
 
@@ -47,13 +47,69 @@ def brute_force_loss(c, positives, tau):
     return total / count
 
 
+def anchor_loop_loss(c, positives, tau):
+    """The per-anchor loop form of infonce_loss, operation for operation:
+    the vectorised loss must reproduce it bit for bit."""
+    n = c.shape[0]
+    sq = np.sum(c * c, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (c @ c.T), 0.0)
+    logits = -d2 / tau
+    np.fill_diagonal(logits, -np.inf)
+    m = np.max(logits, axis=1, keepdims=True)
+    expo = np.exp(logits - m)
+    denom = np.sum(expo, axis=1, keepdims=True)
+    lse = (m + np.log(denom))[:, 0]
+    q = expo / denom
+    sets = [np.asarray(p, dtype=np.int64) for p in positives]
+    sets = [p[p != i] for i, p in enumerate(sets)]
+    anchors = [i for i, p in enumerate(sets) if p.size > 0]
+    loss = 0.0
+    grad_s = np.zeros((n, n))
+    for i in anchors:
+        p = sets[i]
+        loss += lse[i] - np.sum(logits[i, p]) / p.size
+        grad_s[i] = q[i] / (tau * len(anchors))
+        grad_s[i, p] -= 1.0 / (tau * p.size * len(anchors))
+        grad_s[i, i] = 0.0
+    loss /= len(anchors)
+    row = grad_s.sum(axis=1)
+    col = grad_s.sum(axis=0)
+    grad_c = -2.0 * (row[:, None] * c - grad_s @ c) + 2.0 * (grad_s.T @ c - col[:, None] * c)
+    return float(loss), grad_c
+
+
+def random_positive_batches(seed, trials):
+    """Training-shaped batches (trajectories x contiguous windows) with plain,
+    probe-style (phase window across trajectories plus a regime window) and
+    class-match positives; yields (embeddings, mask, tau)."""
+    rng = Rng(seed)
+    for trial in range(trials):
+        sub = rng.substream(trial)
+        n_traj, window = int(2 + sub.integers(0, 15)), int(4 + sub.integers(0, 5))
+        traj = np.repeat(np.arange(n_traj), window)
+        taus = (np.tile(np.arange(window), n_traj)
+                + np.repeat(sub.integers(0, 40, size=n_traj), window)) / 47.0
+        mus = np.repeat(sub.uniform(0.2, 1.0, size=n_traj), window)
+        kind = trial % 3
+        try:
+            mask = build_positives(
+                taus, mus, 2.0 / 47.0, delta_y=0.05 if kind == 1 else None,
+                cross_trajectory_time=kind == 1, traj_ids=traj,
+                labels=(mus > 0.6).astype(int), class_match=kind == 2,
+            )
+        except InputError:
+            continue
+        c = sub.normal((traj.size, int(2 + sub.integers(0, 7)))) * (0.2 + 3.0 * sub.uniform())
+        yield c, mask, 0.3 + 1.5 * sub.uniform()
+
+
 class TestBuildPositives:
     def test_infinite_window_single_trajectory(self):
         taus = np.linspace(0, 1, 6)
         mus = np.full(6, 0.4)
         pos = build_positives(taus, mus, delta_t=np.inf)
         for i, p in enumerate(pos):
-            assert set(p) == set(range(6)) - {i}
+            assert set(np.flatnonzero(p)) == set(range(6)) - {i}
 
     def test_zero_window_distinct_taus(self):
         taus = np.linspace(0, 1, 4)
@@ -70,15 +126,15 @@ class TestBuildPositives:
         got = build_positives(taus, mus, delta_t=0.15, delta_y=0.31, traj_ids=traj)
         expect = brute_force_positives(taus, mus, 0.15, 0.31, traj)
         for g, e in zip(got, expect):
-            assert np.array_equal(np.sort(g), np.sort(e))
+            assert np.array_equal(np.sort(np.flatnonzero(g)), np.sort(e))
 
     def test_class_match_positives(self):
         taus = np.linspace(0, 1, 6)
         mus = np.arange(6, dtype=float)
         labels = np.array([0, 0, 1, 1, 0, 1])
         pos = build_positives(taus, mus, delta_t=0.0, labels=labels, class_match=True)
-        assert set(pos[0]) == {1, 4}
-        assert set(pos[2]) == {3, 5}
+        assert set(np.flatnonzero(pos[0])) == {1, 4}
+        assert set(np.flatnonzero(pos[2])) == {3, 5}
 
     def test_small_batch_rejected(self):
         with pytest.raises(InputError):
@@ -109,7 +165,8 @@ class TestInfonceLoss:
             except InputError:
                 continue
             loss, _ = infonce_loss(ContrastiveBatch(c, pos, 0.9))
-            assert abs(loss - brute_force_loss(c, pos, 0.9)) < 1e-12
+            rows = [np.flatnonzero(r) for r in pos]
+            assert abs(loss - brute_force_loss(c, rows, 0.9)) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(2)
@@ -150,6 +207,37 @@ class TestInfonceLoss:
         pos_p = [inv[pos[perm[i]]] for i in range(6)]
         l1, _ = infonce_loss(ContrastiveBatch(c_p, pos_p, 1.0))
         assert abs(l0 - l1) < 1e-12
+
+    def test_mask_index_lists_and_anchor_loop_agree_bit_for_bit(self):
+        for c, mask, tau in random_positive_batches(11, 40):
+            rows = [np.flatnonzero(r) for r in mask]
+            loss, grad = infonce_loss(ContrastiveBatch(c, mask, tau))
+            for other_loss, other_grad in (infonce_loss(ContrastiveBatch(c, rows, tau)),
+                                           anchor_loop_loss(c, rows, tau)):
+                assert loss == other_loss
+                assert np.array_equal(grad, other_grad)
+
+    def test_anchors_without_positives_are_skipped_exactly(self):
+        rng = Rng(13)
+        for trial in range(20):
+            sub = rng.substream(trial)
+            n = int(6 + sub.integers(0, 30))
+            mask = sub.uniform(0, 1, (n, n)) < 0.3
+            mask[sub.uniform(0, 1, n) < 0.4] = False   # anchors with no positives
+            np.fill_diagonal(mask, False)
+            if not mask.any():
+                continue
+            c = sub.normal((n, 3))
+            rows = [np.flatnonzero(r) for r in mask]
+            loss, grad = infonce_loss(ContrastiveBatch(c, mask, 0.7))
+            for other_loss, other_grad in (infonce_loss(ContrastiveBatch(c, rows, 0.7)),
+                                           anchor_loop_loss(c, rows, 0.7)):
+                assert loss == other_loss
+                assert np.array_equal(grad, other_grad)
+
+    def test_mask_shape_must_match_batch(self):
+        with pytest.raises(ShapeError):
+            infonce_loss(ContrastiveBatch(np.zeros((4, 2)), np.ones((3, 3), dtype=bool), 1.0))
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ConfigError):

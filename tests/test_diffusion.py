@@ -144,6 +144,17 @@ class TestDdimAlgebra:
         with pytest.raises(ConfigError):
             strided_steps(10, 11)
 
+    @pytest.mark.parametrize("T,steps", [(1000, 100), (1000, 20), (40, 8)])
+    def test_strided_steps_unchanged_when_steps_divide_T(self, T, steps):
+        assert strided_steps(T, steps) == list(range(T, 0, -(T // steps)))
+
+    @pytest.mark.parametrize("T,steps", [(1000, 300), (1000, 7), (1000, 999), (97, 13)])
+    def test_strided_steps_largest_gap_is_even_share(self, T, steps):
+        ts = strided_steps(T, steps)
+        gaps = -np.diff(ts + [0])
+        assert len(ts) == steps and ts[0] == T and np.all(gaps > 0)
+        assert gaps.max() <= -(-T // steps)
+
 
 def small_ds(seed=0):
     return dynsim.generate_oscillator(

@@ -207,6 +207,19 @@ class TestSweepAndErrors:
     def test_empty_dim_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [])
+        with pytest.raises(ConfigError, match="embedding.d"):
+            harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [0])
+
+    def test_sweep_manifest_records_each_dimension(self, tmp_path):
+        res = harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [2, 3])
+        manifest = json.load(open(res["manifest"]))
+        stages = ("dataset", "diffusion", "latents", "encoder", "table", "evaluate")
+        assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stage_seconds"])
+        names = [os.path.basename(p) for p in manifest["artifacts"]]
+        assert sum(n.startswith("encoder-") for n in names) == 2
+        assert names.count("pipeline.csv") == 2
+        assert names.count("manifest-pipeline.json") == 2
+        assert all(os.path.exists(p) for p in manifest["artifacts"])
 
     def test_constant_mu_probe_errors(self, tmp_path):
         cfg = tiny_config(dataset={"mu_range": [0.7, 0.7]})
@@ -285,6 +298,23 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "mu_range" in proc.stderr
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"seed": "abc"}, "seed"),
+        ({"diffusion": {"epochs": "3"}}, "diffusion.epochs"),
+        ({"embedding": {"d": 0}}, "embedding.d"),
+    ])
+    def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "simulate", "--config", str(bad),
+             "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_simulate_cli_runs(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
