@@ -140,10 +140,6 @@ def svm_decision(model, points):
     return k @ model.coefs
 
 
-def svm_predict(model, points):
-    return (svm_decision(model, points) > 0.0).astype(np.int64)
-
-
 def _midranks(values):
     order = np.argsort(values, kind="stable")
     ranks = np.empty(values.size)
@@ -181,16 +177,15 @@ def f1_score(labels, predicted):
     return 2.0 * tp / denom if denom > 0.0 else 0.0
 
 
-def svm_score(model, points, labels):
-    """Accuracy, F1 (positive class), and ROC-AUC from decision values."""
-    y = np.asarray(labels)
-    decision = svm_decision(model, points)
-    predicted = (decision > 0.0).astype(np.int64)
-    y01 = (y == y.max()).astype(np.int64) if set(np.unique(y)) != {0, 1} else y
+def svm_score(labels, decision):
+    """Accuracy, F1 and ROC-AUC of SVM decision values; the larger label is
+    the positive class, and a positive decision predicts it."""
+    y = (np.asarray(labels) == np.max(labels)).astype(np.int64)
+    predicted = (np.asarray(decision) > 0.0).astype(np.int64)
     return {
-        "accuracy": float(np.mean(predicted == y01)),
-        "f1": f1_score(y01, predicted),
-        "auc": roc_auc(y01, decision),
+        "accuracy": float(np.mean(predicted == y)),
+        "f1": f1_score(y, predicted),
+        "auc": roc_auc(y, decision),
     }
 
 

@@ -187,16 +187,19 @@ def batch_loss_and_grads(encoder, z, positives, tau, cond=None):
 
 
 @dataclass
-class EncoderTrainConfig:
-    epochs: int = 300
-    lr: float = 1e-3
+class EmbeddingConfig:
+    d: int = 8
     tau: float = 1.0
-    delta_t: Optional[float] = None     # default: two-frame window, set below
+    delta_t: Optional[float] = None   # None -> two-frame window
     delta_y: Optional[float] = None
+    use_condition: bool = False
     class_match: bool = False
     cross_trajectory_time: bool = False
+    hidden: tuple = (128, 128, 128)
+    epochs: int = 200
+    lr: float = 1e-3
     traj_per_batch: int = 16
-    window: int = 8                     # contiguous frames drawn per trajectory
+    window: int = 8                   # contiguous frames drawn per trajectory
     val_fraction: float = 0.1
     patience: int = 10
     min_improve: float = 1e-4
@@ -217,7 +220,9 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
     """Train until the validation loss saturates; returns loss curves.
 
     z/taus/mus/labels are aligned per-frame arrays; traj_ids group frames
-    into trajectories (defaults to grouping by exact mu value).
+    into trajectories (defaults to grouping by exact mu value). `config` is
+    an EmbeddingConfig; its d, hidden and use_condition shape the encoder
+    and are not read here.
     """
     z = np.asarray(z, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)

@@ -7,7 +7,6 @@ decay ("steady", class 0); high ones stay periodic ("unsteady", class 1).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -16,19 +15,6 @@ from .errors import ConfigError, InputError
 from .numcore import Rng
 
 DATASET_MAGIC = b"DYN1"
-
-
-@dataclass(frozen=True)
-class Condition:
-    tau: float
-    mu: float
-    class_label: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class StateFrame:
-    x: np.ndarray
-    condition: Condition
 
 
 @dataclass
@@ -44,10 +30,6 @@ class Trajectory:
 
     def __len__(self):
         return self.xs.shape[0]
-
-    def frame(self, i):
-        cond = Condition(float(self.taus[i]), self.mu, self.class_label)
-        return StateFrame(self.xs[i], cond)
 
 
 class OscillatorMap:
@@ -225,11 +207,10 @@ def generate_oscillator(
 _CENTER_GAIN = 0.55
 
 
-def render(frame, grid, mapping):
-    """Deterministic analytic grayscale field for a state frame, in [0, 1]."""
+def render(x, grid, mapping):
+    """Deterministic analytic grayscale field for a state vector, in [0, 1]."""
     if grid < 8:
         raise InputError("render grid must be at least 8")
-    x = frame.x if isinstance(frame, StateFrame) else np.asarray(frame)
     s = mapping.invert(x)[0]
     return render_latent(s, grid)
 

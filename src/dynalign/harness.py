@@ -11,21 +11,21 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from . import analysis, binio, contrastive, diffusion, dynsim, lifting, metrics, traversal
+from .contrastive import EmbeddingConfig
 from .errors import ConfigError, FormatError, InputError, NumericError
 from .numcore import Rng
 
 CSV_HEADER = "dataset,space,method,metric,value,std,n,seed"
-THREADS_ENV = "CONDA_DYN_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -56,25 +56,6 @@ class DiffusionConfig:
     lr: float = 1e-3
     steps: int = 100          # strided steps for inversion and sampling
     condition_on: tuple = ("tau",)   # ("tau",) or ("tau", "mu")
-
-
-@dataclass
-class EmbeddingConfig:
-    d: int = 8
-    tau: float = 1.0
-    delta_t: Optional[float] = None   # None -> two-frame window
-    delta_y: Optional[float] = None
-    use_condition: bool = False
-    class_match: bool = False
-    cross_trajectory_time: bool = False
-    hidden: tuple = (128, 128, 128)
-    epochs: int = 200
-    lr: float = 1e-3
-    traj_per_batch: int = 16
-    window: int = 8
-    val_fraction: float = 0.1
-    patience: int = 10
-    min_improve: float = 1e-4
 
 
 @dataclass
@@ -186,23 +167,37 @@ def config_from_dict(doc):
     return cfg
 
 
+# Least value of each count or stride; tex2 needs a 3-point window and the
+# linear methods a keyframe gap with a frame inside it.
+_LEAST = {
+    "render_grid": 8, "dataset.n_traj": 2, "dataset.frames_per_traj": 8,
+    "diffusion.batch": 1, "embedding.d": 1, "embedding.traj_per_batch": 1,
+    "traversal.keyframe_stride": 2, "traversal.tex_window": 3, "traversal.context": 1,
+    "traversal.target_stride": 1, "traversal.render_targets_per_traj": 1,
+    "analysis.svm_steps": 1, "analysis.frames_per_traj_class": 1,
+    "analysis.kde_frames_per_class": 1,
+}
+
+
 def validate_config(cfg):
-    d = cfg.dataset
+    d, t = cfg.dataset, cfg.traversal
     if len(d.mu_range) != 2 or not (d.mu_range[0] <= d.mu_range[1]):
         raise ConfigError(f"invalid interval {d.mu_range}", field="dataset.mu_range")
-    if d.n_traj < 2:
-        raise ConfigError("need at least 2 trajectories", field="dataset.n_traj")
-    if d.frames_per_traj < 8:
-        raise ConfigError("need at least 8 frames", field="dataset.frames_per_traj")
-    if cfg.embedding.d < 1:
-        raise ConfigError("embedding needs at least 1 dimension", field="embedding.d")
+    for path, least in _LEAST.items():
+        if operator.attrgetter(path)(cfg) < least:
+            raise ConfigError(f"must be at least {least}", field=path)
+    for name in ("tex_window", "context"):
+        if getattr(t, name) >= d.frames_per_traj - 1:
+            raise ConfigError("must leave a frame to predict before the last",
+                              field=f"traversal.{name}")
+    if not _target_frames(t, d.frames_per_traj)[1]:
+        raise ConfigError("no eligible target frames; shrink context or stride",
+                          field="traversal.target_stride")
     if cfg.diffusion.steps > cfg.diffusion.T:
         raise ConfigError("steps cannot exceed T", field="diffusion.steps")
     if tuple(cfg.diffusion.condition_on) not in (("tau",), ("tau", "mu")):
         raise ConfigError("must be ['tau'] or ['tau', 'mu']",
                           field="diffusion.condition_on")
-    if cfg.render_grid < 8:
-        raise ConfigError("render grid must be at least 8", field="render_grid")
     return cfg
 
 
@@ -258,14 +253,6 @@ def load_config(path=None, seed=None):
     if seed is not None:
         cfg.seed = int(seed)
     return validate_config(cfg)
-
-
-def worker_count():
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +417,8 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
             use_condition=emb_cfg.use_condition,
             rng=Rng(cfg.seed).stream(f"{tag}-init"),
         )
-        tc = contrastive.EncoderTrainConfig(
-            epochs=emb_cfg.epochs, lr=emb_cfg.lr, tau=emb_cfg.tau,
-            delta_t=emb_cfg.delta_t, delta_y=emb_cfg.delta_y,
-            class_match=emb_cfg.class_match,
-            cross_trajectory_time=emb_cfg.cross_trajectory_time,
-            traj_per_batch=emb_cfg.traj_per_batch,
-            window=emb_cfg.window, val_fraction=emb_cfg.val_fraction,
-            patience=emb_cfg.patience, min_improve=emb_cfg.min_improve,
-        )
         contrastive.train_encoder(
-            enc, train["z"], train["tau"], train["mu"], tc,
+            enc, train["z"], train["tau"], train["mu"], emb_cfg,
             Rng(cfg.seed).stream(f"{tag}-train"),
             labels=train["label"], traj_ids=train["traj"],
         )
@@ -537,15 +515,6 @@ def hstack_images(images, pad=1):
     return np.concatenate(parts, axis=1)
 
 
-def render_states(xs, grid, mapping):
-    n_workers = worker_count()
-    frames = [xs[i] for i in range(xs.shape[0])]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(lambda x: dynsim.render(x, grid, mapping), frames))
-    return [dynsim.render(x, grid, mapping) for x in frames]
-
-
 # ---------------------------------------------------------------------------
 # Traversal benchmark (the Table-1-style comparison)
 
@@ -574,11 +543,15 @@ def _method_list(space, tcfg):
     return methods
 
 
-def _keyframes(S, stride):
-    kf = list(range(0, S, stride))
+def _target_frames(tcfg, S):
+    """Keyframes, and the frames each method reconstructs: every
+    target_stride-th frame past the longest trailing window, short of the
+    last frame, that is not a keyframe."""
+    kf = list(range(0, S, tcfg.keyframe_stride))
     if kf[-1] != S - 1:
         kf.append(S - 1)
-    return np.array(kf)
+    start = max(tcfg.tex_window, tcfg.context)
+    return np.array(kf), [s for s in range(start, S - 1, tcfg.target_stride) if s not in kf]
 
 
 def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
@@ -618,24 +591,12 @@ def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
 def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
     """Fit and score every traversal operator in every space."""
     tcfg = cfg.traversal
-    if tcfg.keyframe_stride < 2:
-        raise ConfigError("keyframe stride must be at least 2",
-                          field="traversal.keyframe_stride")
     spaces = _space_vectors(cfg, ds, z_all, encoder)
     test_idx = ds.indices("test")
     train_idx = ds.indices("train")
-    S = z_all.shape[1]
-    kf = _keyframes(S, tcfg.keyframe_stride)
-    ctx = max(tcfg.tex_window, tcfg.context)
-    kf_set = set(kf.tolist())
-    targets = [
-        s for s in range(ctx, S - 1, tcfg.target_stride) if s not in kf_set
-    ]
-    if not targets:
-        raise ConfigError("no eligible target frames; shrink context or stride",
-                          field="traversal.target_stride")
+    kf, targets = _target_frames(tcfg, z_all.shape[1])
     n_render = min(tcfg.render_targets_per_traj, len(targets))
-    render_targets = targets[:: max(1, len(targets) // max(n_render, 1))][:n_render]
+    render_targets = targets[:: max(1, len(targets) // n_render)][:n_render]
 
     rows = []
     strips = {}
@@ -664,29 +625,20 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
         )
 
         for method in _method_list(space, tcfg):
-            preds, truths = [], []
-            per_traj_tae = []
-            render_preds = {}
+            pred_trajs, render_preds = [], {}
             for ti in test_idx:
-                vecs = vecs_all[ti]
-                alphas = ds.trajectories[ti].alphas
-                errs = []
-                for s_star in targets:
-                    pred = _predict(method, vecs, alphas, s_star, tcfg, rec, kf)
-                    preds.append(pred)
-                    truths.append(vecs[s_star])
-                    errs.append(np.abs(pred - vecs[s_star]).sum())
-                    if s_star in render_targets:
-                        render_preds[(ti, s_star)] = pred
-                per_traj_tae.append(float(np.sum(errs)))
-            preds = np.stack(preds)
-            truths = np.stack(truths)
-            err = metrics.rmse(preds, truths)
+                vecs, alphas = vecs_all[ti], ds.trajectories[ti].alphas
+                pred = np.stack([_predict(method, vecs, alphas, s, tcfg, rec, kf)
+                                 for s in targets])
+                pred_trajs.append(pred)
+                render_preds.update({(ti, s): pred[targets.index(s)] for s in render_targets})
+            truth_trajs = [vecs_all[ti][targets] for ti in test_idx]
+            preds = np.concatenate(pred_trajs)
+            err = metrics.rmse(preds, np.concatenate(truth_trajs))
             rows.append(row(cfg, space, method, "rmse", err, preds.shape[0]))
             rows.append(row(cfg, space, method, "rmse_norm", err / scale, preds.shape[0]))
-            taes = np.array(per_traj_tae)
-            rows.append(row(cfg, space, method, "tae", float(taes.mean()), taes.size,
-                            float(taes.std())))
+            _, tae, tae_std = metrics.total_abs_error(pred_trajs, truth_trajs)
+            rows.append(row(cfg, space, method, "tae", tae, len(pred_trajs), tae_std))
 
             if info["renderable"]:
                 keys = sorted(render_preds)
@@ -702,7 +654,7 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
                 )
                 x_hat = diffusion.ddim_sample(model, z_hat, sched,
                                               cfg.diffusion.steps, cond=conds)
-                imgs = render_states(np.atleast_2d(x_hat), grid, ds.mapping)
+                imgs = [dynsim.render(x, grid, ds.mapping) for x in np.atleast_2d(x_hat)]
                 ps = [metrics.psnr(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
                 ss = [metrics.ssim(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
                 for metric, vals in (("psnr", ps), ("ssim", ss)):
@@ -842,14 +794,8 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
                 )
                 pooled_scores.append(analysis.svm_decision(svm, x_test))
                 pooled_labels.append(np.repeat(labels[test_traj], frame_sel.size))
-            scores = np.concatenate(pooled_scores)
             truth = np.concatenate(pooled_labels)
-            predicted = (scores > 0.0).astype(np.int64)
-            vals = {
-                "accuracy": float(np.mean(predicted == truth)),
-                "f1": analysis.f1_score(truth, predicted),
-                "auc": analysis.roc_auc(truth, scores),
-            }
+            vals = analysis.svm_score(truth, np.concatenate(pooled_scores))
             results[(space, kernel)] = vals
             for metric, value in vals.items():
                 rows.append(row(cfg, space, f"svm-{kernel}", metric, value, truth.size))

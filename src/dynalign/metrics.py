@@ -66,6 +66,7 @@ def ssim(a, b, dynamic_range=1.0, window=8):
 def total_abs_error(pred_trajs, truth_trajs):
     """Per-trajectory sum of absolute errors, plus mean/std across them.
 
+    Each trajectory's rows (frames) are summed first, then the row totals.
     The std is the population value (ddof=0), matching mean/std summaries
     over a fixed trajectory set.
     """
@@ -74,7 +75,7 @@ def total_abs_error(pred_trajs, truth_trajs):
     taes = []
     for p, t in zip(pred_trajs, truth_trajs):
         p, t = _aligned(p, t)
-        taes.append(float(np.sum(np.abs(p - t))))
+        taes.append(float(np.sum(np.sum(np.abs(p - t), axis=-1))))
     taes = np.array(taes)
     return taes, float(np.mean(taes)), float(np.std(taes))
 

@@ -258,10 +258,3 @@ class Mlp:
             if i < self.n_layers - 1:
                 bound *= slope
         return bound
-
-    def copy(self):
-        dup = Mlp.__new__(Mlp)
-        dup.dims = list(self.dims)
-        dup.activation = self.activation
-        dup.params = {k: v.copy() for k, v in self.params.items()}
-        return dup

@@ -263,7 +263,7 @@ def test_criterion_8_classification(pipelines):
     y = np.repeat([0, 1], 60)
     model = analysis.train_svm(x, y, analysis.SvmConfig(kernel="rbf", steps=20000),
                                rng.stream("svm"))
-    sanity = analysis.svm_score(model, x, y)["accuracy"]
+    sanity = analysis.svm_score(y, analysis.svm_decision(model, x))["accuracy"]
     ok = votes >= 2 and sanity == 1.0
     report(8, ok, f"votes {votes}/3, sanity accuracy {sanity}; " + "; ".join(details))
 

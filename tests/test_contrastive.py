@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynalign.contrastive import (
-    ContrastiveBatch, EncoderModel, EncoderTrainConfig, batch_loss_and_grads,
+    ContrastiveBatch, EmbeddingConfig, EncoderModel, batch_loss_and_grads,
     build_positives, embed, infonce_loss, load_encoder, save_encoder,
     train_encoder,
 )
@@ -264,7 +264,7 @@ class TestTrainEncoder:
     def test_embedding_organizes_neighbors(self):
         z, taus, mus, trajs = synthetic_latents()
         enc = EncoderModel(6, 3, hidden=(32, 32), rng=Rng(0).stream("enc"))
-        cfg = EncoderTrainConfig(epochs=60, traj_per_batch=6, window=6)
+        cfg = EmbeddingConfig(epochs=60, traj_per_batch=6, window=6)
         train_encoder(enc, z, taus, mus, cfg, Rng(0).stream("train"), traj_ids=trajs)
         c = embed(enc, z)
         within, across = [], []
@@ -281,8 +281,8 @@ class TestTrainEncoder:
         z, taus, mus, trajs = synthetic_latents(1)
         enc = EncoderModel(6, 3, hidden=(16,), rng=Rng(1).stream("enc"))
         before = {k: v.copy() for k, v in enc.params.items()}
-        cfg = EncoderTrainConfig(epochs=5, lr=0.0, traj_per_batch=6, window=6,
-                                 patience=100)
+        cfg = EmbeddingConfig(epochs=5, lr=0.0, traj_per_batch=6, window=6,
+                              patience=100)
         _, curves = train_encoder(enc, z, taus, mus, cfg, Rng(1).stream("t"), traj_ids=trajs)
         # Frozen parameters: the fixed validation batches repeat exactly.
         assert np.ptp(curves["val"]) < 1e-12
@@ -294,7 +294,7 @@ class TestTrainEncoder:
 
         def run():
             enc = EncoderModel(6, 3, hidden=(16, 16), rng=Rng(2).stream("enc"))
-            cfg = EncoderTrainConfig(epochs=10, traj_per_batch=6, window=6)
+            cfg = EmbeddingConfig(epochs=10, traj_per_batch=6, window=6)
             train_encoder(enc, z, taus, mus, cfg, Rng(2).stream("t"), traj_ids=trajs)
             return enc
 
@@ -307,7 +307,7 @@ class TestTrainEncoder:
         with pytest.raises(InputError):
             train_encoder(
                 EncoderModel(4, 2, hidden=(8,)), z, np.linspace(0, 1, 10),
-                np.full(10, 0.5), EncoderTrainConfig(epochs=1), Rng(0),
+                np.full(10, 0.5), EmbeddingConfig(epochs=1), Rng(0),
             )
 
 

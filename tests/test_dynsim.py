@@ -76,12 +76,6 @@ class TestEmbeddingMap:
             rec = ds.mapping.invert(traj.xs)
             assert np.max(np.abs(rec - traj.ss)) < 1e-10
 
-    def test_condition_accessors(self):
-        ds = small_dataset()
-        frame = ds.trajectories[0].frame(3)
-        assert frame.condition.tau == ds.trajectories[0].taus[3]
-        assert frame.condition.class_label in (0, 1)
-
 
 class TestRender:
     def test_zero_state_renders_black(self):
@@ -91,7 +85,7 @@ class TestRender:
 
     def test_deterministic(self):
         ds = small_dataset()
-        frame = ds.trajectories[0].frame(5)
+        frame = ds.trajectories[0].xs[5]
         a = dynsim.render(frame, 24, ds.mapping)
         b = dynsim.render(frame, 24, ds.mapping)
         assert np.array_equal(a, b)
@@ -106,13 +100,13 @@ class TestRender:
 
     def test_values_in_unit_interval(self):
         ds = small_dataset()
-        img = dynsim.render(ds.trajectories[0].frame(2), 16, ds.mapping)
+        img = dynsim.render(ds.trajectories[0].xs[2], 16, ds.mapping)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_grid_too_small(self):
         ds = small_dataset()
         with pytest.raises(Exception):
-            dynsim.render(ds.trajectories[0].frame(0), 4, ds.mapping)
+            dynsim.render(ds.trajectories[0].xs[0], 4, ds.mapping)
 
     def test_finite_difference_slope_within_bound(self):
         grid = 16

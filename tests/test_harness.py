@@ -232,20 +232,6 @@ class TestSweepAndErrors:
         for v in res["values"].values():
             assert np.isfinite(v) and 0.0 <= v <= 1.0
 
-    def test_render_worker_env_var(self, monkeypatch):
-        from dynalign import dynsim
-
-        ds = dynsim.generate_oscillator(4, 8, (0.2, 1.0), D=4, seed=0)
-        xs = ds.trajectories[0].xs
-        monkeypatch.delenv(harness.THREADS_ENV, raising=False)
-        seq = harness.render_states(xs, 16, ds.mapping)
-        assert harness.worker_count() == 1
-        monkeypatch.setenv(harness.THREADS_ENV, "2")
-        assert harness.worker_count() == 2
-        par = harness.render_states(xs, 16, ds.mapping)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a, b)
-
 
 class TestStageChain:
     @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
@@ -303,6 +289,23 @@ class TestCli:
         ({"seed": "abc"}, "seed"),
         ({"diffusion": {"epochs": "3"}}, "diffusion.epochs"),
         ({"embedding": {"d": 0}}, "embedding.d"),
+        ({"diffusion": {"batch": 0}}, "diffusion.batch"),
+        ({"embedding": {"traj_per_batch": 0}}, "embedding.traj_per_batch"),
+        ({"traversal": {"target_stride": 0}}, "traversal.target_stride"),
+        ({"traversal": {"render_targets_per_traj": 0}}, "traversal.render_targets_per_traj"),
+        ({"analysis": {"frames_per_traj_class": 0}}, "analysis.frames_per_traj_class"),
+        ({"analysis": {"kde_frames_per_class": 0}}, "analysis.kde_frames_per_class"),
+        ({"traversal": {"context": 0}}, "traversal.context"),
+        ({"analysis": {"svm_steps": 0}}, "analysis.svm_steps"),
+        ({"traversal": {"keyframe_stride": 1}}, "traversal.keyframe_stride"),
+        ({"traversal": {"tex_window": 2}}, "traversal.tex_window"),
+        ({"dataset": {"frames_per_traj": 24}, "traversal": {"tex_window": 23}},
+         "traversal.tex_window"),
+        ({"dataset": {"frames_per_traj": 24}, "traversal": {"context": 23}},
+         "traversal.context"),
+        ({"dataset": {"frames_per_traj": 24},
+          "traversal": {"keyframe_stride": 8, "context": 8, "target_stride": 8}},
+         "traversal.target_stride"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         bad = tmp_path / "bad.json"
@@ -374,7 +377,7 @@ def test_single_fold_equals_plain_split_eval(tmp_path):
                            max_points=cfg.analysis.svm_max_points),
         Rng(cfg.seed).stream("classify").stream("svm-Z-rbf-0"),
     )
-    direct = analysis.svm_score(svm, x_test, y_test)
+    direct = analysis.svm_score(y_test, analysis.svm_decision(svm, x_test))
     assert res["results"][("Z", "rbf")] == pytest.approx(direct)
 
 
