@@ -41,10 +41,6 @@ def pca_project(model, data):
     return (np.asarray(data, dtype=np.float64) - model.mean) @ model.components
 
 
-def pca_reconstruct(model, proj):
-    return np.asarray(proj, dtype=np.float64) @ model.components.T + model.mean
-
-
 # ---------------------------------------------------------------------------
 # SVM via stochastic subgradient on the hinge objective
 
@@ -284,15 +280,6 @@ def kde_traverse(model, eta):
     if model.degenerate:
         raise InputError("class densities are indistinguishable; peaks degenerate")
     return model.m_class0 + eta * (model.m_class1 - model.m_class0)
-
-
-def kde_integral(model, which=0):
-    """Grid-quadrature mass of one class density (sanity check)."""
-    f = model.f0 if which == 0 else model.f1
-    vol = 1.0
-    for ax in model.axes:
-        vol *= ax[1] - ax[0]
-    return float(np.sum(f) * vol)
 
 
 # ---------------------------------------------------------------------------

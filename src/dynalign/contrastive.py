@@ -143,7 +143,6 @@ class EncoderModel:
         n_in = self.state_dim + (2 * self.N_COND_FEATURES if use_condition else 0)
         self.net = Mlp(
             [n_in, *hidden, self.embed_dim],
-            activation="silu",
             rng=rng if rng is not None else Rng(0).stream("encoder-init"),
         )
 
@@ -166,9 +165,6 @@ class EncoderModel:
 
     def forward(self, z, cond=None, want_cache=False):
         return self.net.forward(self.features(z, cond), want_cache=want_cache)
-
-    def lipschitz_bound(self):
-        return self.net.lipschitz_bound()
 
 
 def embed(encoder, z, cond=None):
@@ -319,7 +315,6 @@ def save_encoder(encoder, path):
         "embed_dim": encoder.embed_dim,
         "use_condition": encoder.use_condition,
         "dims": encoder.net.dims,
-        "activation": encoder.net.activation,
     }
     binio.write_envelope(path, CHECKPOINT_MAGIC, meta, dict(encoder.net.params))
 

@@ -69,7 +69,6 @@ class DenoiserModel:
         )
         self.net = Mlp(
             [n_in, *hidden, self.state_dim],
-            activation="silu",
             rng=rng if rng is not None else Rng(0).stream("denoiser-init"),
             zero_init_last=True,
         )
@@ -219,7 +218,6 @@ def save_model(model, sched, path):
         "state_dim": model.state_dim,
         "T": model.T,
         "dims": model.net.dims,
-        "activation": model.net.activation,
         "cond_components": model.cond_components,
     }
     arrays = {"beta": sched.beta}

@@ -41,26 +41,26 @@ class OscillatorMap:
         self.amp = float(amp)
 
     @classmethod
-    def create(cls, dim, rng, amp=0.1, u_norm=2.5):
+    def create(cls, dim, rng, amp=0.1):
         if dim < 2:
             raise ConfigError("state dimension must be at least 2", field="D")
         q, _ = np.linalg.qr(rng.stream("embed-q").normal((dim, 2)))
         u = rng.stream("embed-u").normal((dim, 2))
-        u *= u_norm / np.linalg.svd(u, compute_uv=False)[0]
+        u *= 2.5 / np.linalg.svd(u, compute_uv=False)[0]
         return cls(q, u, amp)
 
     def embed(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         return s @ self.q.T + self.amp * np.tanh(s @ self.u.T)
 
-    def invert(self, x, tol=1e-14, max_iter=100):
+    def invert(self, x):
         """Recover latent coordinates; the map is a contraction, so the
-        fixed-point iteration converges geometrically."""
+        fixed-point iteration converges geometrically (100 steps at most)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         s = x @ self.q
-        for _ in range(max_iter):
+        for _ in range(100):
             s_next = (x - self.amp * np.tanh(s @ self.u.T)) @ self.q
-            if np.max(np.abs(s_next - s)) < tol:
+            if np.max(np.abs(s_next - s)) < 1e-14:
                 s = s_next
                 break
             s = s_next
@@ -122,7 +122,6 @@ def generate_oscillator(
     t_max=0.75,
     nonlin_amp=0.1,
     zeta_max=0.8,
-    center=None,
 ):
     """Generate a blocked-split Dataset of oscillator trajectories.
 
@@ -144,9 +143,7 @@ def generate_oscillator(
 
     rng = Rng(seed).stream("dynsim")
     mapping = OscillatorMap.create(D, rng, amp=nonlin_amp)
-    if center is None:
-        center = 0.6 * rng.stream("center").normal(2)
-    center = np.asarray(center, dtype=np.float64)
+    center = 0.6 * rng.stream("center").normal(2)
     mu_threshold = 0.5 * (lo + hi)
     S = int(frames_per_traj)
     taus = np.linspace(0.0, 1.0, S)
@@ -228,14 +225,6 @@ def render_latent(s, grid):
     # Magnitude of the signed field: negative-quadrant states render as
     # bright bumps too, so no seeded orbit placement can go all-dark.
     return np.clip(np.abs(s1 * bump1 + s2 * bump2), 0.0, 1.0)
-
-
-def render_lipschitz_bound(grid):
-    """Per-pixel bound on |d image / d latent|; slopes stay below this."""
-    ctr = (grid - 1) / 2.0
-    sigma = grid / 7.0
-    center_term = _CENTER_GAIN * ctr * np.sqrt(2.0) * np.exp(-0.5) / sigma
-    return np.sqrt(2.0) * (1.0 + center_term)
 
 
 def save_dataset(ds, path):

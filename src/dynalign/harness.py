@@ -23,6 +23,7 @@ import numpy as np
 from . import analysis, binio, contrastive, diffusion, dynsim, lifting, metrics, traversal
 from .contrastive import EmbeddingConfig
 from .errors import ConfigError, FormatError, InputError, NumericError
+from .lifting import LiftingConfig
 from .numcore import Rng
 
 CSV_HEADER = "dataset,space,method,metric,value,std,n,seed"
@@ -71,15 +72,6 @@ class TraversalConfig:
     recurrent_hidden: int = 64
     recurrent_epochs: int = 120
     recurrent_lr: float = 1e-3
-
-
-@dataclass
-class LiftingConfig:
-    kernel: str = "gaussian"
-    metric: str = "euclidean"
-    k_grid: tuple = (1, 2, 3, 5, 8, 12)
-    sigma: Optional[float] = None
-    holdout_fraction: float = 0.1
 
 
 @dataclass
@@ -167,15 +159,22 @@ def config_from_dict(doc):
     return cfg
 
 
-# Least value of each count or stride; tex2 needs a 3-point window and the
-# linear methods a keyframe gap with a frame inside it.
+# Lower bounds, as (bound, open): a value must be at least the bound, or
+# above it when open; a null value (the field's heuristic) is not checked.
+# tex2 needs a 3-point window, the linear methods a keyframe gap with a
+# frame inside it, and a KDE grid two nodes per axis.
 _LEAST = {
-    "render_grid": 8, "dataset.n_traj": 2, "dataset.frames_per_traj": 8,
-    "diffusion.batch": 1, "embedding.d": 1, "embedding.traj_per_batch": 1,
-    "traversal.keyframe_stride": 2, "traversal.tex_window": 3, "traversal.context": 1,
-    "traversal.target_stride": 1, "traversal.render_targets_per_traj": 1,
-    "analysis.svm_steps": 1, "analysis.frames_per_traj_class": 1,
-    "analysis.kde_frames_per_class": 1,
+    "render_grid": (8, False), "dataset.n_traj": (2, False),
+    "dataset.frames_per_traj": (8, False), "diffusion.batch": (1, False),
+    "embedding.d": (1, False), "embedding.traj_per_batch": (1, False),
+    "traversal.keyframe_stride": (2, False), "traversal.tex_window": (3, False),
+    "traversal.context": (1, False), "traversal.target_stride": (1, False),
+    "traversal.render_targets_per_traj": (1, False),
+    "traversal.recurrent_hidden": (1, False),
+    "analysis.svm_lam": (0, True), "analysis.svm_steps": (1, False),
+    "analysis.svm_gamma": (0, True), "analysis.frames_per_traj_class": (1, False),
+    "analysis.kde_bandwidth": (0, True), "analysis.kde_nodes": (2, False),
+    "analysis.kde_frames_per_class": (1, False),
 }
 
 
@@ -183,9 +182,11 @@ def validate_config(cfg):
     d, t = cfg.dataset, cfg.traversal
     if len(d.mu_range) != 2 or not (d.mu_range[0] <= d.mu_range[1]):
         raise ConfigError(f"invalid interval {d.mu_range}", field="dataset.mu_range")
-    for path, least in _LEAST.items():
-        if operator.attrgetter(path)(cfg) < least:
-            raise ConfigError(f"must be at least {least}", field=path)
+    for path, (bound, is_open) in _LEAST.items():
+        value = operator.attrgetter(path)(cfg)
+        if value is not None and (value <= bound if is_open else value < bound):
+            raise ConfigError(f"must be {'above' if is_open else 'at least'} {bound}",
+                              field=path)
     for name in ("tex_window", "context"):
         if getattr(t, name) >= d.frames_per_traj - 1:
             raise ConfigError("must leave a frame to predict before the last",
@@ -427,25 +428,21 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
     return ws.stage(tag, _encoder_key(cfg, emb_cfg), write, contrastive.load_encoder)
 
 
-def stage_table(ws, ds, z_all, encoder, emb_cfg=None, tag="table"):
-    """kNN lifting table of `encoder`, trained under `emb_cfg` (the config's
-    embedding section by default), which keys the cache."""
+def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
+    """kNN lifting table from the embedded frames `c_all` of the encoder
+    trained under `emb_cfg` (the config's embedding section by default),
+    which keys the cache."""
     cfg = ws.cfg
     emb_cfg = emb_cfg or cfg.embedding
 
     def write(path):
-        c_all = embed_frames(encoder, ds, z_all)
         train_idx = ds.indices("train")
         n_hold = max(1, int(round(len(train_idx) * cfg.lifting.holdout_fraction)))
         hold_idx = train_idx[-n_hold:]
         ref_idx = train_idx[:-n_hold] or train_idx
         c_ref = np.concatenate([c_all[i] for i in ref_idx])
         z_ref = np.concatenate([z_all[i] for i in ref_idx])
-        table = lifting.build_table(
-            c_ref, z_ref,
-            lifting.LiftConfig(kernel=cfg.lifting.kernel, metric=cfg.lifting.metric,
-                               sigma=cfg.lifting.sigma),
-        )
+        table = lifting.build_table(c_ref, z_ref, cfg.lifting)
         c_hold = np.concatenate([c_all[i] for i in hold_idx])
         z_hold = np.concatenate([z_all[i] for i in hold_idx])
         table.k = lifting.select_k(table, cfg.lifting.k_grid, c_hold, z_hold)
@@ -519,18 +516,20 @@ def hstack_images(images, pad=1):
 # Traversal benchmark (the Table-1-style comparison)
 
 
-def _space_vectors(cfg, ds, z_all, encoder):
-    """name -> dict(vectors (n_traj, S, dim), renderable)."""
+def _space_vectors(cfg, ds, z_all, c_all):
+    """name -> dict(vectors (n_traj, S, dim), renderable); PCA keeps as many
+    components as the embedding has dimensions."""
     spaces = {"Z": {"vectors": z_all, "renderable": True},
-              "C": {"vectors": embed_frames(encoder, ds, z_all), "renderable": True}}
+              "C": {"vectors": c_all, "renderable": True}}
     if cfg.traversal.include_pca:
         train_idx = ds.indices("train")
         flat_train = np.concatenate([z_all[i] for i in train_idx])
-        pca = analysis.fit_pca(flat_train, encoder.embed_dim)
+        d = c_all.shape[-1]
+        pca = analysis.fit_pca(flat_train, d)
         n_traj, S, D = z_all.shape
         proj = analysis.pca_project(pca, z_all.reshape(-1, D))
         spaces["PCA"] = {
-            "vectors": proj.reshape(n_traj, S, encoder.embed_dim),
+            "vectors": proj.reshape(n_traj, S, d),
             "renderable": False,
         }
     return spaces
@@ -580,7 +579,7 @@ def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
         return traversal.spline_traverse(curve, float(alphas[s_star]), 0.0)
     if method in ("tex1", "tex2"):
         window = vecs[s_star - tcfg.tex_window : s_star]
-        stencil = traversal.stencil_from_window(window, d_alpha, at=-1)
+        stencil = traversal.stencil_from_window(window, d_alpha)
         return traversal.tex_extrapolate(stencil, 1 if method == "tex1" else 2)
     if method == "recurrent":
         context = vecs[s_star - tcfg.context : s_star]
@@ -588,10 +587,11 @@ def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
     raise ValueError(f"unknown method {method!r}")
 
 
-def evaluate_traversal(cfg, ds, model, sched, z_all, encoder, table, seed_rng):
-    """Fit and score every traversal operator in every space."""
+def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
+    """Fit and score every traversal operator in every space; `c_all` holds
+    the embedded frames, (n_traj, S, d)."""
     tcfg = cfg.traversal
-    spaces = _space_vectors(cfg, ds, z_all, encoder)
+    spaces = _space_vectors(cfg, ds, z_all, c_all)
     test_idx = ds.indices("test")
     train_idx = ds.indices("train")
     kf, targets = _target_frames(tcfg, z_all.shape[1])
@@ -718,10 +718,11 @@ def cmd_simulate(cfg, out_dir, force=False):
 def cmd_pipeline(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
-    table = stage_table(ws, ds, z_all, encoder)
+    c_all = embed_frames(encoder, ds, z_all)
+    table = stage_table(ws, ds, z_all, c_all)
     t0 = time.perf_counter()
     rows, strips = evaluate_traversal(
-        cfg, ds, model, sched, z_all, encoder, table, Rng(cfg.seed).stream("traversal")
+        cfg, ds, model, sched, z_all, c_all, table, Rng(cfg.seed).stream("traversal")
     )
     ws.timings["evaluate"] = time.perf_counter() - t0
     summary = {
@@ -824,9 +825,9 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
         probe_embedding_config(cfg), d=min(cfg.analysis.kde_d, 3)
     )
     ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-kde")
-    table = stage_table(ws, ds, z_all, encoder, emb, tag="table-kde")
-
     c_all = embed_frames(encoder, ds, z_all)
+    table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
+
     train = ds.indices("train")
     labels = np.array([ds.trajectories[i].class_label for i in train])
     c_train = np.stack([c_all[i] for i in train])

@@ -21,11 +21,12 @@ METRICS = ("euclidean", "cosine")
 
 
 @dataclass
-class LiftConfig:
+class LiftingConfig:
     kernel: str = "gaussian"
     metric: str = "euclidean"
-    k: int = 5
+    k_grid: tuple = (1, 2, 3, 5, 8, 12)
     sigma: Optional[float] = None   # gaussian bandwidth; None -> median heuristic
+    holdout_fraction: float = 0.1
 
 
 @dataclass
@@ -54,9 +55,9 @@ def _median_heuristic(c_ref, cap=1000):
     return med if med > 0.0 else 1.0
 
 
-def build_table(embeddings, latents, config=None):
-    """Freeze reference (embedding, latent) pairs into an immutable table."""
-    config = config or LiftConfig()
+def build_table(embeddings, latents, config, k=5):
+    """Freeze reference (embedding, latent) pairs into an immutable table
+    with the kernel, metric and bandwidth of `config` and k neighbors."""
     c = np.atleast_2d(np.asarray(embeddings, dtype=np.float64)).copy()
     z = np.atleast_2d(np.asarray(latents, dtype=np.float64)).copy()
     if c.shape[0] != z.shape[0]:
@@ -72,7 +73,7 @@ def build_table(embeddings, latents, config=None):
     sigma = config.sigma if config.sigma is not None else _median_heuristic(c)
     if sigma <= 0.0:
         raise InputError("gaussian bandwidth must be positive")
-    k = int(np.clip(config.k, 1, c.shape[0]))
+    k = int(np.clip(k, 1, c.shape[0]))
     return KnnTable(c_ref=c, z_ref=z, kernel=config.kernel,
                     metric=config.metric, k=k, sigma=float(sigma))
 

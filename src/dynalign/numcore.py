@@ -152,38 +152,18 @@ def sinusoidal_features(x, num, min_period, max_period):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-_ACT_MAX_SLOPE = {"silu": 1.1, "tanh": 1.0, "relu": 1.0}
-
-
-def _act_forward(z, kind):
-    """Activation of z and the gate its slope reuses: the sigmoid for silu
-    (built once, in one buffer), tanh(z) for tanh, None for relu."""
-    if kind == "silu":
-        s = np.negative(z)
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        return z * s, s
-    if kind == "tanh":
-        t = np.tanh(z)
-        return t, t
-    if kind == "relu":
-        return np.maximum(z, 0.0), None
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _act_backward(z, kind, gate):
-    if kind == "silu":
-        return gate * (1.0 + z * (1.0 - gate))
-    if kind == "tanh":
-        return 1.0 - gate * gate
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {kind!r}")
+def _silu(z):
+    """SiLU of z and the sigmoid gate its slope reuses, built once in one
+    buffer."""
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return z * s, s
 
 
 class Mlp:
-    """Plain fully-connected network with hand-derived backprop.
+    """Plain fully-connected SiLU network with hand-derived backprop.
 
     Parameters live in a flat dict ("w0", "b0", "w1", ...) so they plug
     straight into adam_step and grad_check. The last layer is linear;
@@ -191,14 +171,12 @@ class Mlp:
     initial output should vanish).
     """
 
-    def __init__(self, dims, activation="silu", rng=None, zero_init_last=False):
+    def __init__(self, dims, rng=None, zero_init_last=False):
         if len(dims) < 2:
             raise ValueError("dims needs at least input and output sizes")
         self.dims = list(int(d) for d in dims)
-        self.activation = activation
         if rng is None:
             rng = Rng(0).stream("mlp-init")
-        gain = 2.0 if activation in ("silu", "relu") else 1.0
         self.params = {}
         n_layers = len(self.dims) - 1
         for i in range(n_layers):
@@ -206,7 +184,7 @@ class Mlp:
             if zero_init_last and i == n_layers - 1:
                 w = np.zeros((fan_in, fan_out))
             else:
-                w = rng.normal((fan_in, fan_out)) * np.sqrt(gain / fan_in)
+                w = rng.normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
             self.params[f"w{i}"] = w
             self.params[f"b{i}"] = np.zeros(fan_out)
 
@@ -223,7 +201,7 @@ class Mlp:
         for i in range(self.n_layers):
             z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
             if i < self.n_layers - 1:
-                h, gate = _act_forward(z, self.activation)
+                h, gate = _silu(z)
                 if want_cache:
                     cache["pre"].append(z)
                     cache["gates"].append(gate)
@@ -244,17 +222,6 @@ class Mlp:
             grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"w{i}"].T
             if i > 0:
-                delta = delta * _act_backward(cache["pre"][i - 1], self.activation,
-                                              cache["gates"][i - 1])
+                z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
+                delta = delta * (gate * (1.0 + z * (1.0 - gate)))
         return grads, delta
-
-    def lipschitz_bound(self):
-        """Upper bound on the network's Lipschitz constant (spectral norms)."""
-        bound = 1.0
-        slope = _ACT_MAX_SLOPE[self.activation]
-        for i in range(self.n_layers):
-            sv = np.linalg.svd(self.params[f"w{i}"], compute_uv=False)
-            bound *= sv[0] if sv.size else 0.0
-            if i < self.n_layers - 1:
-                bound *= slope
-        return bound

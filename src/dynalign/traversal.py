@@ -6,7 +6,6 @@ and on compact embeddings.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,14 +23,6 @@ class SplineCurve:
     values: np.ndarray         # (n, dim) fitted knot values
     second_derivs: np.ndarray  # (n, dim), zero in the first/last row
     lam: float
-
-    @property
-    def domain(self):
-        return float(self.knots[0]), float(self.knots[-1])
-
-    def extrapolates(self, alpha):
-        lo, hi = self.domain
-        return bool(alpha < lo or alpha > hi)
 
     def evaluate(self, alpha):
         """Evaluate the curve; outside the domain the boundary-interval
@@ -98,8 +89,7 @@ def fit_spline(alphas, points, lam):
 def spline_traverse(curve, alpha_s, delta_alpha):
     """Move along the fitted curve by a phase increment.
 
-    Queries outside the fitted interval continue the boundary cubic; check
-    curve.extrapolates(alpha_s + delta_alpha) for the flag.
+    Queries outside the fitted interval continue the boundary cubic.
     """
     return curve.evaluate(alpha_s + delta_alpha)
 
@@ -110,53 +100,35 @@ def spline_traverse(curve, alpha_s, delta_alpha):
 
 @dataclass
 class TexStencil:
-    points: np.ndarray             # (m, dim) consecutive samples
+    points: np.ndarray    # (m, dim) consecutive samples; the last is the expansion point
     spacing: float
-    cdot: np.ndarray               # first-derivative estimate at the expansion point
-    cddot: Optional[np.ndarray]    # second-derivative estimate (None if m < 3)
-    at: int                        # expansion index within the window
+    cdot: np.ndarray      # first-derivative estimate at the last point
+    cddot: np.ndarray     # second-derivative estimate at the last point
 
 
-def stencil_from_window(points, spacing, at=-1):
-    """Estimate derivatives on a uniform window: central differences in the
-    interior, one-sided 3-point stencils at the ends."""
+def stencil_from_window(points, spacing):
+    """Estimate derivatives at the last point of a uniform window from the
+    one-sided (trailing) 3-point stencil."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
-    m = points.shape[0]
-    if m < 2:
-        raise InputError("window needs at least 2 points")
+    if points.shape[0] < 3:
+        raise InputError("window needs at least 3 points")
     if spacing <= 0.0:
         raise InputError("window spacing must be positive")
-    j = at if at >= 0 else m + at
-    if not 0 <= j < m:
-        raise InputError(f"expansion index {at} outside window of {m}")
     d = float(spacing)
-    if m == 2:
-        cdot = (points[1] - points[0]) / d
-        cddot = None
-    elif 0 < j < m - 1:
-        cdot = (points[j + 1] - points[j - 1]) / (2.0 * d)
-        cddot = (points[j + 1] - 2.0 * points[j] + points[j - 1]) / d**2
-    elif j == 0:
-        cdot = (-3.0 * points[0] + 4.0 * points[1] - points[2]) / (2.0 * d)
-        cddot = (points[0] - 2.0 * points[1] + points[2]) / d**2
-    else:
-        cdot = (3.0 * points[-1] - 4.0 * points[-2] + points[-3]) / (2.0 * d)
-        cddot = (points[-1] - 2.0 * points[-2] + points[-3]) / d**2
-    return TexStencil(points=points, spacing=d, cdot=cdot, cddot=cddot, at=j)
+    cdot = (3.0 * points[-1] - 4.0 * points[-2] + points[-3]) / (2.0 * d)
+    cddot = (points[-1] - 2.0 * points[-2] + points[-3]) / d**2
+    return TexStencil(points=points, spacing=d, cdot=cdot, cddot=cddot)
 
 
-def tex_extrapolate(window, order, step=None):
-    """Taylor step from the stencil's expansion point (default one spacing)."""
+def tex_extrapolate(window, order):
+    """Taylor step of one spacing past the window's last point."""
     if order not in (1, 2):
         raise InputError("order must be 1 or 2")
-    ds = window.spacing if step is None else float(step)
-    base = window.points[window.at]
-    out = base + window.cdot * ds
+    ds = window.spacing
+    out = window.points[-1] + window.cdot * ds
     if order == 2:
-        if window.cddot is None:
-            raise InputError("second-order extrapolation needs a window of >= 3 points")
         out = out + 0.5 * window.cddot * ds**2
     return out
 

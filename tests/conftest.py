@@ -18,12 +18,6 @@ ACCEPT_DOC = {
 }
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: trains the seeded pipelines (several minutes)"
-    )
-
-
 @pytest.fixture(scope="session")
 def pipelines(tmp_path_factory):
     """Per-seed trained artifacts shared by the directional checks."""
@@ -41,9 +35,10 @@ def pipelines(tmp_path_factory):
         model, sched = harness.stage_diffusion(ws, ds)
         z_all = harness.stage_latents(ws, ds, model, sched)
         encoder = harness.stage_encoder(ws, ds, z_all, cfg.embedding)
-        table = harness.stage_table(ws, ds, z_all, encoder)
+        c_all = harness.embed_frames(encoder, ds, z_all)
+        table = harness.stage_table(ws, ds, z_all, c_all)
         rows, _ = harness.evaluate_traversal(
-            cfg, ds, model, sched, z_all, encoder, table,
+            cfg, ds, model, sched, z_all, c_all, table,
             Rng(seed).stream("traversal"),
         )
         runs[seed] = dict(cfg=cfg, ws=ws, out=out, ds=ds, model=model,

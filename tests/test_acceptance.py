@@ -128,11 +128,11 @@ def test_criterion_4_traversal_exactness():
 
     t = np.arange(6.0)
     lin = np.stack([3.0 * t - 2.0, 0.5 * t], axis=1)
-    st = traversal.stencil_from_window(lin, 1.0, at=-1)
+    st = traversal.stencil_from_window(lin, 1.0)
     tex1_err = float(np.max(np.abs(
         traversal.tex_extrapolate(st, 1) - np.array([3.0 * 6 - 2.0, 0.5 * 6]))))
     quad = (0.7 * t**2 - t + 2.0)[:, None]
-    st2 = traversal.stencil_from_window(quad, 1.0, at=-1)
+    st2 = traversal.stencil_from_window(quad, 1.0)
     tex2_err = float(abs(traversal.tex_extrapolate(st2, 2)[0] - (0.7 * 36 - 6 + 2.0)))
 
     rng = Rng(3)
@@ -182,7 +182,7 @@ def test_criterion_6_knn_lifting():
     c = rng.stream("c").uniform(-1, 1, (50, 2))
     z = np.stack([np.sin(2 * c[:, 0]), c[:, 0] * c[:, 1], np.cos(c[:, 1])], axis=1)
     z += 0.05 * rng.stream("n").normal(z.shape)
-    table = lifting.build_table(c[:35], z[:35], lifting.LiftConfig(kernel="gaussian"))
+    table = lifting.build_table(c[:35], z[:35], lifting.LiftingConfig(kernel="gaussian"))
 
     _, w, _ = lifting.lift_many(table, rng.stream("q").normal((20, 2)),
                                 return_weights=True)

@@ -3,7 +3,6 @@ import pytest
 
 from dynalign import dynsim
 from dynalign.errors import ConfigError, FormatError
-from dynalign.numcore import Rng
 
 
 def small_dataset(seed=0, **kw):
@@ -107,19 +106,6 @@ class TestRender:
         ds = small_dataset()
         with pytest.raises(Exception):
             dynsim.render(ds.trajectories[0].xs[0], 4, ds.mapping)
-
-    def test_finite_difference_slope_within_bound(self):
-        grid = 16
-        bound = dynsim.render_lipschitz_bound(grid)
-        rng = Rng(4)
-        for trial in range(20):
-            s = rng.substream(trial).uniform(-1, 1, 2)
-            d = rng.substream(100 + trial).normal(2)
-            d *= 1e-5 / np.linalg.norm(d)
-            a = dynsim.render_latent(s, grid)
-            b = dynsim.render_latent(s + d, grid)
-            slope = np.max(np.abs(b - a)) / np.linalg.norm(d)
-            assert slope <= bound
 
 
 class TestDatasetFile:

@@ -306,18 +306,25 @@ class TestCli:
         ({"dataset": {"frames_per_traj": 24},
           "traversal": {"keyframe_stride": 8, "context": 8, "target_stride": 8}},
          "traversal.target_stride"),
+        ({"analysis": {"svm_lam": 0}}, "analysis.svm_lam"),
+        ({"analysis": {"svm_lam": -1e-4}}, "analysis.svm_lam"),
+        ({"analysis": {"svm_gamma": -1.0}}, "analysis.svm_gamma"),
+        ({"analysis": {"kde_nodes": 1}}, "analysis.kde_nodes"),
+        ({"analysis": {"kde_bandwidth": -0.1}}, "analysis.kde_bandwidth"),
+        ({"traversal": {"recurrent_hidden": 0}}, "traversal.recurrent_hidden"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "simulate", "--config", str(bad),
-             "--out", str(tmp_path)],
+             "--out", str(tmp_path / "runs")],
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_simulate_cli_runs(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

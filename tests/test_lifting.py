@@ -3,7 +3,7 @@ import pytest
 
 from dynalign.errors import InputError
 from dynalign.lifting import (
-    LiftConfig, build_table, lift, lift_many, load_table, save_table, select_k,
+    LiftingConfig, build_table, lift, lift_many, load_table, save_table, select_k,
 )
 from dynalign.numcore import Rng
 
@@ -12,13 +12,13 @@ def toy_table(kernel="gaussian", k=3, sigma=1.0, n=20, d=3, D=6, seed=0):
     rng = Rng(seed)
     c = rng.stream("c").normal((n, d))
     z = rng.stream("z").normal((n, D))
-    return build_table(c, z, LiftConfig(kernel=kernel, k=k, sigma=sigma)), c, z
+    return build_table(c, z, LiftingConfig(kernel=kernel, sigma=sigma), k=k), c, z
 
 
 class TestBuildTable:
     def test_single_pair_always_returns_it(self):
         table = build_table(np.array([[1.0, 2.0]]), np.array([[5.0, 6.0, 7.0]]),
-                            LiftConfig(k=4))
+                            LiftingConfig(), k=4)
         assert table.k == 1
         out = lift(table, np.array([100.0, -50.0]))
         assert np.array_equal(out, [5.0, 6.0, 7.0])
@@ -26,18 +26,18 @@ class TestBuildTable:
     def test_duplicate_embeddings_average_latents(self):
         c = np.array([[1.0, 0.0], [1.0, 0.0]])
         z = np.array([[0.0, 2.0], [4.0, 0.0]])
-        table = build_table(c, z, LiftConfig(kernel="uniform", k=2))
+        table = build_table(c, z, LiftingConfig(kernel="uniform"), k=2)
         out = lift(table, np.array([1.0, 0.0]))
         assert np.allclose(out, [2.0, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            build_table(np.zeros((3, 2)), np.zeros((4, 2)))
+            build_table(np.zeros((3, 2)), np.zeros((4, 2)), LiftingConfig())
 
     def test_table_is_a_copy(self):
         c = np.zeros((2, 2))
         z = np.zeros((2, 2))
-        table = build_table(c, z, LiftConfig(sigma=1.0))
+        table = build_table(c, z, LiftingConfig(sigma=1.0))
         c[0, 0] = 99.0
         assert table.c_ref[0, 0] == 0.0
 
@@ -62,7 +62,7 @@ class TestLift:
     def test_equidistant_pair_uniform_mean(self):
         c = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
         z = np.array([[2.0], [4.0], [100.0]])
-        table = build_table(c, z, LiftConfig(kernel="uniform", k=2))
+        table = build_table(c, z, LiftingConfig(kernel="uniform"), k=2)
         out = lift(table, np.array([0.0, 0.0]))
         assert np.allclose(out, [3.0])
 
@@ -110,7 +110,7 @@ class TestLift:
     def test_cosine_metric(self):
         c = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
         z = np.array([[1.0], [2.0], [3.0]])
-        table = build_table(c, z, LiftConfig(kernel="uniform", metric="cosine", k=2))
+        table = build_table(c, z, LiftingConfig(kernel="uniform", metric="cosine"), k=2)
         # Query along +x: cosine distance 0 to both x-aligned references.
         out = lift(table, np.array([3.0, 0.0]))
         assert np.allclose(out, [2.0])
@@ -131,7 +131,7 @@ class TestSelectK:
         c = rng.stream("c").uniform(-1, 1, (60, 2))
         z = np.stack([np.sin(2 * c[:, 0]), c.prod(axis=1), np.cos(c[:, 1])], axis=1)
         z += 0.05 * rng.stream("noise").normal(z.shape)
-        table = build_table(c[:40], z[:40], LiftConfig(kernel="uniform"))
+        table = build_table(c[:40], z[:40], LiftingConfig(kernel="uniform"))
         grid = [1, 2, 3, 5, 8, 12]
         got = select_k(table, grid, c[40:], z[40:])
         errs = {}

@@ -77,13 +77,9 @@ class TestSplineTraverse:
         got = spline_traverse(curve, float(al[3]), step)
         assert np.max(np.abs(got - pts[4])) < 1e-8
 
-    def test_extrapolation_flag(self):
+    def test_boundary_cubic_continues_past_the_knots(self):
         al = np.linspace(0, 1, 8)
         curve = fit_spline(al, np.zeros((8, 1)), 0.0)
-        assert not curve.extrapolates(0.9)
-        assert curve.extrapolates(1.2)
-        assert curve.extrapolates(-0.1)
-        # Boundary cubic continues smoothly.
         assert np.isfinite(spline_traverse(curve, 1.0, 0.3)).all()
 
 
@@ -91,34 +87,30 @@ class TestTexExtrapolate:
     def test_linear_sequence_exact_first_order(self):
         t = np.arange(6.0)
         pts = np.stack([2.0 * t + 1.0, -0.5 * t], axis=1)
-        for at in (0, 2, -1):
-            st = stencil_from_window(pts, 1.0, at=at)
-            base = st.at
-            expect = np.array([2.0 * (t[base] + 1) + 1.0, -0.5 * (t[base] + 1)])
-            assert np.max(np.abs(tex_extrapolate(st, 1) - expect)) < 1e-12
+        st = stencil_from_window(pts, 1.0)
+        expect = np.array([2.0 * (t[-1] + 1) + 1.0, -0.5 * (t[-1] + 1)])
+        assert np.max(np.abs(tex_extrapolate(st, 1) - expect)) < 1e-12
 
     def test_quadratic_sequence_exact_second_order(self):
         t = np.arange(7.0)
         pts = (1.5 * t**2 - 2.0 * t + 3.0)[:, None]
-        for at in (0, 3, -1):
-            st = stencil_from_window(pts, 1.0, at=at)
-            nxt = t[st.at] + 1
-            expect = 1.5 * nxt**2 - 2.0 * nxt + 3.0
-            assert abs(tex_extrapolate(st, 2)[0] - expect) < 1e-10
+        st = stencil_from_window(pts, 1.0)
+        nxt = t[-1] + 1
+        expect = 1.5 * nxt**2 - 2.0 * nxt + 3.0
+        assert abs(tex_extrapolate(st, 2)[0] - expect) < 1e-10
 
     def test_cubic_taylor_remainder(self):
         # Exact derivatives of s^3 at s=0 are zero; the step-1 prediction
         # misses the true value by exactly |step|^3.
         window = (np.arange(-2.0, 1.0) ** 3)[:, None]
         st = TexStencil(points=window, spacing=1.0,
-                        cdot=np.array([0.0]), cddot=np.array([0.0]), at=2)
+                        cdot=np.array([0.0]), cddot=np.array([0.0]))
         pred = tex_extrapolate(st, 2)[0]
         assert abs(pred - 1.0) == 1.0
 
     def test_window_too_short_for_second_order(self):
-        st = stencil_from_window(np.zeros((2, 1)), 1.0)
         with pytest.raises(InputError):
-            tex_extrapolate(st, 2)
+            stencil_from_window(np.zeros((2, 1)), 1.0)
         with pytest.raises(InputError):
             stencil_from_window(np.zeros((1, 2)), 1.0)
 
@@ -135,7 +127,7 @@ class TestTexExtrapolate:
                 axis=1,
             )
             for end in range(5, 39):
-                st = stencil_from_window(track[end - 5 : end], t[1] - t[0], at=-1)
+                st = stencil_from_window(track[end - 5 : end], t[1] - t[0])
                 truth = track[end]
                 err1.append(np.sum((tex_extrapolate(st, 1) - truth) ** 2))
                 err2.append(np.sum((tex_extrapolate(st, 2) - truth) ** 2))
