@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InputError
+from .numcore import sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +111,7 @@ def train_svm(points, labels, config, rng):
     if gamma is None:
         var = float(x.var())
         gamma = 1.0 / (d * var) if var > 0.0 else 1.0
-    sq = np.sum(x * x, axis=1)
-    gram = np.exp(-gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0))
+    gram = np.exp(-gamma * sq_dists(x, x))
     alpha = np.zeros(n)
     ay = np.zeros(n)  # running alpha * y, so each step is one dot product
     for t, i in enumerate(pick, start=1):
@@ -127,13 +127,7 @@ def svm_decision(model, points):
     if model.kernel == "linear":
         xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
         return xa @ model.w
-    sq_x = np.sum(x * x, axis=1)
-    sq_p = np.sum(model.points * model.points, axis=1)
-    k = np.exp(
-        -model.gamma
-        * np.maximum(sq_x[:, None] + sq_p[None, :] - 2.0 * (x @ model.points.T), 0.0)
-    )
-    return k @ model.coefs
+    return np.exp(-model.gamma * sq_dists(x, model.points)) @ model.coefs
 
 
 def _midranks(values):
@@ -244,7 +238,7 @@ def kde_fit(class0, class1, h=None, nodes=None):
         raise InputError("class dimensions disagree")
     d = c0.shape[1]
     if d > 3:
-        raise ConfigError("KDE grids support at most 3 dimensions", field="kde.d")
+        raise ConfigError("KDE grids support at most 3 dimensions", field="analysis.kde_d")
     pooled = np.concatenate([c0, c1])
     if h is None:
         h = _scott_bandwidth(pooled)
@@ -256,7 +250,7 @@ def kde_fit(class0, class1, h=None, nodes=None):
     spacing = max(float(ax[1] - ax[0]) for ax in axes)
     if spacing > h:
         raise ConfigError(
-            f"grid spacing {spacing:.4g} exceeds bandwidth {h:.4g}", field="kde.nodes"
+            f"grid spacing {spacing:.4g} exceeds bandwidth {h:.4g}", field="analysis.kde_nodes"
         )
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     f0 = _density_on_grid(mesh, c0, h)

@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from . import binio
-from .errors import ConfigError, InputError, NumericError, ShapeError
-from .numcore import AdamState, Mlp, Rng, adam_step, sinusoidal_features
+from .errors import ConfigError, InputError, ShapeError
+from .numcore import Mlp, Rng, condition_features, fit, sq_dists
 
 CHECKPOINT_MAGIC = b"ENC1"
 
@@ -89,9 +89,7 @@ def infonce_loss(batch):
     n, _ = c.shape
     tau = float(batch.tau)
 
-    sq = np.sum(c * c, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (c @ c.T), 0.0)
-    logits = -d2 / tau
+    logits = -sq_dists(c, c) / tau
     np.fill_diagonal(logits, -np.inf)
     m = np.max(logits, axis=1, keepdims=True)
     expo = np.exp(logits - m)
@@ -157,11 +155,7 @@ class EncoderModel:
         if cond is None:
             raise InputError("encoder was built with use_condition=True; pass cond")
         cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-        feats = [
-            sinusoidal_features(cond[:, j], self.N_COND_FEATURES, 0.25, 4.0)
-            for j in range(cond.shape[1])
-        ]
-        return np.concatenate([z, *feats], axis=1)
+        return np.concatenate([z, condition_features(cond, self.N_COND_FEATURES)], axis=1)
 
     def forward(self, z, cond=None, want_cache=False):
         return self.net.forward(self.features(z, cond), want_cache=want_cache)
@@ -246,7 +240,7 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
 
     cond = np.stack([taus, mus], axis=1) if encoder.use_condition else None
 
-    def run_batch(plan, update, state):
+    def loss_and_grads(plan):
         traj_subset, starts = plan
         idx = np.concatenate(
             [
@@ -263,49 +257,35 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
             )
         except InputError:
             return None
-        loss, grads = batch_loss_and_grads(
+        return batch_loss_and_grads(
             encoder, z[idx], positives, config.tau,
             None if cond is None else cond[idx],
         )
-        if update:
-            adam_step(encoder.params, grads, state)
-        return loss
 
-    state = AdamState(encoder.params, lr=config.lr)
     batch_rng = rng.stream("batches")
     n_train_batches = max(2, len(train_trajs) // max(config.traj_per_batch, 1) * 4)
     val_plans = _batches_for(val_trajs, min_frames, config,
                              rng.stream("val-batches"), max(2, len(val_trajs)))
+    val_curve = []
+    best_val, stale = np.inf, 0
 
-    curve, val_curve = [], []
-    best_val = np.inf
-    stale = 0
-    initial = None
-    for epoch in range(config.epochs):
-        plans = _batches_for(train_trajs, min_frames, config,
-                             batch_rng.substream(epoch), n_train_batches)
-        losses = [lo for plan in plans if (lo := run_batch(plan, True, state)) is not None]
-        if not losses:
-            raise InputError("every training batch degenerated")
-        mean_loss = float(np.mean(losses))
-        if not np.isfinite(mean_loss):
-            raise NumericError(f"non-finite contrastive loss at epoch {epoch}")
-        if initial is None:
-            initial = mean_loss
-        if mean_loss > 10.0 * max(initial, 1e-9) + 10.0:
-            raise NumericError(f"contrastive training diverged at epoch {epoch}")
-        curve.append(mean_loss)
-
-        v_losses = [lo for plan in val_plans if (lo := run_batch(plan, False, None)) is not None]
+    def saturated(mean_loss):
+        nonlocal best_val, stale
+        v_losses = [out[0] for plan in val_plans if (out := loss_and_grads(plan)) is not None]
         v = float(np.mean(v_losses)) if v_losses else mean_loss
         val_curve.append(v)
         if v < best_val - config.min_improve:
-            best_val = v
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            best_val, stale = v, 0
+            return False
+        stale += 1
+        return stale >= config.patience
+
+    curve = fit(
+        encoder.params, config.epochs,
+        lambda epoch: _batches_for(train_trajs, min_frames, config,
+                                   batch_rng.substream(epoch), n_train_batches),
+        loss_and_grads, config.lr, "contrastive", stop=saturated,
+    )
     return encoder, {"train": curve, "val": val_curve}
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import binio
 from .errors import ConfigError, NumericError, ShapeError
-from .numcore import AdamState, Mlp, Rng, adam_step, sinusoidal_features
+from .numcore import Mlp, Rng, condition_features, fit, shuffled_batches, sinusoidal_features
 
 CHECKPOINT_MAGIC = b"DNZ1"
 
@@ -90,13 +90,7 @@ class DenoiserModel:
         if cond.shape[0] == 1 and n > 1:
             cond = np.broadcast_to(cond, (n, cond.shape[1]))
         t_feat = sinusoidal_features(t_arr, self.N_TIME_FEATURES, 4.0, 4.0 * self.T)
-        y_feat = np.concatenate(
-            [
-                sinusoidal_features(cond[:, j], self.N_COND_FEATURES, 0.25, 4.0)
-                for j in range(cond.shape[1])
-            ],
-            axis=1,
-        )
+        y_feat = condition_features(cond, self.N_COND_FEATURES)
         return np.concatenate([z, t_feat, y_feat], axis=1)
 
     def predict(self, z, t, cond):
@@ -122,40 +116,27 @@ def condition_columns(taus, mus, n_components):
 
 
 def train(model, ds, sched, epochs, batch, rng, lr=1e-3):
-    """Minimize the denoising objective with Adam; returns per-epoch means."""
+    """Minimize the denoising objective with Adam; returns the model and its
+    per-epoch mean losses. Aborts on divergence (`numcore.fit`)."""
     data = ds.stack("train")
     x = data["x"]
     cond = condition_columns(data["tau"], data["mu"], model.cond_components)
     n = x.shape[0]
-    if n == 0:
-        raise ConfigError("training split is empty", field="dataset")
-    state = AdamState(model.params, lr=lr)
     noise_rng = rng.stream("noise")
     step_rng = rng.stream("steps")
     order_rng = rng.stream("order")
-    curve = []
-    for epoch in range(epochs):
-        perm = order_rng.substream(epoch).permutation(n)
-        total = 0.0
-        n_batches = 0
-        for start in range(0, n, batch):
-            idx = perm[start : start + batch]
-            t = step_rng.substream(epoch * 100003 + n_batches).integers(
-                1, sched.T + 1, size=idx.size
-            )
-            eps = noise_rng.substream(epoch * 100003 + n_batches).normal(
-                (idx.size, x.shape[1])
-            )
-            loss, grads = model.loss_and_grads(x[idx], t, eps, cond[idx], sched)
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite diffusion loss at epoch {epoch}, batch {n_batches}"
-                )
-            adam_step(model.params, grads, state)
-            total += loss
-            n_batches += 1
-        curve.append(total / max(n_batches, 1))
-    return model, curve
+
+    def batches(epoch):
+        # Batch b draws its steps and noise from substream epoch * 100003 + b.
+        return enumerate(shuffled_batches(order_rng, epoch, n, batch), start=epoch * 100003)
+
+    def loss_and_grads(keyed):
+        key, idx = keyed
+        t = step_rng.substream(key).integers(1, sched.T + 1, size=idx.size)
+        eps = noise_rng.substream(key).normal((idx.size, x.shape[1]))
+        return model.loss_and_grads(x[idx], t, eps, cond[idx], sched)
+
+    return model, fit(model.params, epochs, batches, loss_and_grads, lr, "diffusion")
 
 
 def strided_steps(T, steps):

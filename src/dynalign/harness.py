@@ -159,34 +159,49 @@ def config_from_dict(doc):
     return cfg
 
 
-# Lower bounds, as (bound, open): a value must be at least the bound, or
-# above it when open; a null value (the field's heuristic) is not checked.
-# tex2 needs a 3-point window, the linear methods a keyframe gap with a
-# frame inside it, and a KDE grid two nodes per axis.
-_LEAST = {
-    "render_grid": (8, False), "dataset.n_traj": (2, False),
-    "dataset.frames_per_traj": (8, False), "diffusion.batch": (1, False),
-    "embedding.d": (1, False), "embedding.traj_per_batch": (1, False),
-    "traversal.keyframe_stride": (2, False), "traversal.tex_window": (3, False),
-    "traversal.context": (1, False), "traversal.target_stride": (1, False),
-    "traversal.render_targets_per_traj": (1, False),
-    "traversal.recurrent_hidden": (1, False),
-    "analysis.svm_lam": (0, True), "analysis.svm_steps": (1, False),
-    "analysis.svm_gamma": (0, True), "analysis.frames_per_traj_class": (1, False),
-    "analysis.kde_bandwidth": (0, True), "analysis.kde_nodes": (2, False),
-    "analysis.kde_frames_per_class": (1, False),
+# One bound per field, as (test, bound): ">" / ">=" a least value, "<" a
+# greatest one, "in" a set of allowed values. A null value (the field's
+# heuristic) is not checked. tex2 needs a 3-point window, the
+# linear methods a keyframe gap with a frame inside it, a KDE grid two nodes
+# per axis, a contrastive window two frames to pair, and the training,
+# encoder and lifting splits something left over.
+_BOUNDS = {
+    "render_grid": (">=", 8), "dataset.n_traj": (">=", 2),
+    "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
+    "dataset.test_fraction": ("<", 1), "diffusion.batch": (">=", 1),
+    "diffusion.beta_start": (">", 0), "diffusion.beta_end": ("<", 1),
+    "embedding.d": (">=", 1), "embedding.tau": (">", 0),
+    "embedding.traj_per_batch": (">=", 1), "embedding.window": (">=", 2),
+    "embedding.val_fraction": ("<", 1),
+    "traversal.lam": (">=", 0),
+    "traversal.keyframe_stride": (">=", 2), "traversal.tex_window": (">=", 3),
+    "traversal.context": (">=", 1), "traversal.target_stride": (">=", 1),
+    "traversal.render_targets_per_traj": (">=", 1),
+    "traversal.recurrent_hidden": (">=", 1),
+    "lifting.kernel": ("in", lifting.KERNELS), "lifting.metric": ("in", lifting.METRICS),
+    "lifting.sigma": (">", 0), "lifting.holdout_fraction": ("<", 1),
+    "analysis.svm_lam": (">", 0), "analysis.svm_steps": (">=", 1),
+    "analysis.svm_gamma": (">", 0), "analysis.frames_per_traj_class": (">=", 1),
+    "analysis.kde_bandwidth": (">", 0), "analysis.kde_nodes": (">=", 2),
+    "analysis.kde_frames_per_class": (">=", 1),
+}
+_COMPARE = {
+    ">": (operator.gt, "above"), ">=": (operator.ge, "at least"), "<": (operator.lt, "below"),
+    "in": (lambda value, allowed: value in allowed, "one of"),
 }
 
 
 def validate_config(cfg):
-    d, t = cfg.dataset, cfg.traversal
+    d, t, dc = cfg.dataset, cfg.traversal, cfg.diffusion
     if len(d.mu_range) != 2 or not (d.mu_range[0] <= d.mu_range[1]):
         raise ConfigError(f"invalid interval {d.mu_range}", field="dataset.mu_range")
-    for path, (bound, is_open) in _LEAST.items():
+    for path, (test, bound) in _BOUNDS.items():
         value = operator.attrgetter(path)(cfg)
-        if value is not None and (value <= bound if is_open else value < bound):
-            raise ConfigError(f"must be {'above' if is_open else 'at least'} {bound}",
-                              field=path)
+        holds, words = _COMPARE[test]
+        if value is not None and not holds(value, bound):
+            raise ConfigError(f"must be {words} {bound}", field=path)
+    if not cfg.lifting.k_grid:
+        raise ConfigError("must be non-empty", field="lifting.k_grid")
     for name in ("tex_window", "context"):
         if getattr(t, name) >= d.frames_per_traj - 1:
             raise ConfigError("must leave a frame to predict before the last",
@@ -194,9 +209,11 @@ def validate_config(cfg):
     if not _target_frames(t, d.frames_per_traj)[1]:
         raise ConfigError("no eligible target frames; shrink context or stride",
                           field="traversal.target_stride")
-    if cfg.diffusion.steps > cfg.diffusion.T:
+    if dc.steps > dc.T:
         raise ConfigError("steps cannot exceed T", field="diffusion.steps")
-    if tuple(cfg.diffusion.condition_on) not in (("tau",), ("tau", "mu")):
+    if dc.beta_start > dc.beta_end:
+        raise ConfigError("cannot exceed beta_end", field="diffusion.beta_start")
+    if tuple(dc.condition_on) not in (("tau",), ("tau", "mu")):
         raise ConfigError("must be ['tau'] or ['tau', 'mu']",
                           field="diffusion.condition_on")
     return cfg

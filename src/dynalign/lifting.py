@@ -13,6 +13,7 @@ import numpy as np
 from . import binio
 from .errors import InputError
 from .metrics import rmse
+from .numcore import sq_dists
 
 TABLE_MAGIC = b"KNT1"
 
@@ -44,13 +45,7 @@ def _median_heuristic(c_ref, cap=1000):
     if n > cap:
         stride = int(np.ceil(n / cap))
         c_ref = c_ref[::stride]
-    d2 = np.maximum(
-        np.sum(c_ref**2, axis=1)[:, None]
-        + np.sum(c_ref**2, axis=1)[None, :]
-        - 2.0 * (c_ref @ c_ref.T),
-        0.0,
-    )
-    upper = np.sqrt(d2[np.triu_indices(c_ref.shape[0], k=1)])
+    upper = np.sqrt(sq_dists(c_ref, c_ref)[np.triu_indices(c_ref.shape[0], k=1)])
     med = float(np.median(upper)) if upper.size else 1.0
     return med if med > 0.0 else 1.0
 
@@ -81,13 +76,7 @@ def build_table(embeddings, latents, config, k=5):
 def _distances(table, queries):
     c = table.c_ref
     if table.metric == "euclidean":
-        d2 = np.maximum(
-            np.sum(queries**2, axis=1)[:, None]
-            + np.sum(c**2, axis=1)[None, :]
-            - 2.0 * (queries @ c.T),
-            0.0,
-        )
-        return np.sqrt(d2)
+        return np.sqrt(sq_dists(queries, c))
     qn = np.linalg.norm(queries, axis=1, keepdims=True)
     cn = np.linalg.norm(c, axis=1, keepdims=True)
     if np.any(qn == 0.0) or np.any(cn == 0.0):

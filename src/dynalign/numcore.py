@@ -1,5 +1,6 @@
-"""Dense math core: seeded randomness, Adam, gradient checking, and the
-small fully-connected network machinery shared by every trainable module.
+"""Dense math core: seeded randomness, Adam and the one training loop,
+gradient checking, pairwise distances, and the small fully-connected
+network machinery shared by every trainable module.
 
 All floating point is 64-bit. Gradients are hand-derived; grad_check is the
 safety net that keeps them honest.
@@ -9,7 +10,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import InputError, NumericError, ShapeError
 
 
 def _name_key(name):
@@ -93,6 +94,47 @@ def adam_step(params, grads, state):
     return params, state
 
 
+def shuffled_batches(rng, epoch, n, size):
+    """Epoch `epoch`'s minibatches: a permutation of range(n) drawn from
+    substream `epoch` of `rng`, cut into consecutive slices of `size`."""
+    perm = rng.substream(epoch).permutation(n)
+    return [perm[start : start + size] for start in range(0, n, size)]
+
+
+def fit(params, epochs, batches, loss_and_grads, lr, what, stop=None):
+    """The Adam epoch loop of every trained model; returns the per-epoch
+    mean losses, each summed in batch order. `loss_and_grads(batch)` gives
+    (loss, grads) for each batch of `batches(epoch)`, or None to skip it.
+    A non-finite loss, or an epoch mean above 10 * max(first epoch's mean,
+    1e-12) + 1, raises NumericError; an epoch with every batch skipped,
+    InputError. `stop(mean)`, asked after each epoch, ends training early.
+    """
+    state = AdamState(params, lr=lr)
+    curve = []
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        for batch in batches(epoch):
+            out = loss_and_grads(batch)
+            if out is None:
+                continue
+            loss, grads = out
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite {what} loss at epoch {epoch}, batch {count}")
+            # Looked up at call time, so a wrapper installed on the module sees it.
+            adam_step(params, grads, state)
+            total += loss
+            count += 1
+        if count == 0:
+            raise InputError(f"every {what} training batch degenerated")
+        mean = total / count
+        if mean > 10.0 * max(curve[0] if curve else mean, 1e-12) + 1.0:
+            raise NumericError(f"{what} training diverged at epoch {epoch}")
+        curve.append(mean)
+        if stop is not None and stop(mean):
+            break
+    return curve
+
+
 def grad_check(loss_fn, params, perturbation=1e-4, max_coords=None, rng=None,
                atol=1e-8):
     """Max relative error between analytic and central-difference gradients.
@@ -152,6 +194,25 @@ def sinusoidal_features(x, num, min_period, max_period):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
+def condition_features(cond, num):
+    """`num` sinusoidal features (periods 0.25 to 4) per column of the
+    (n, k) condition array, side by side."""
+    return np.concatenate(
+        [sinusoidal_features(cond[:, j], num, 0.25, 4.0) for j in range(cond.shape[1])],
+        axis=1,
+    )
+
+
+def sq_dists(a, b):
+    """Squared Euclidean distances between the rows of `a` and of `b`, from
+    the Gram expansion |a|^2 + |b|^2 - 2 a.b clipped at 0. For self-distances
+    pass one array twice: `a @ a.T` then takes BLAS's symmetric path."""
+    return np.maximum(
+        np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T),
+        0.0,
+    )
+
+
 def _silu(z):
     """SiLU of z and the sigmoid gate its slope reuses, built once in one
     buffer."""
@@ -166,7 +227,7 @@ class Mlp:
     """Plain fully-connected SiLU network with hand-derived backprop.
 
     Parameters live in a flat dict ("w0", "b0", "w1", ...) so they plug
-    straight into adam_step and grad_check. The last layer is linear;
+    straight into fit and grad_check. The last layer is linear;
     zero_init_last starts it at zero (useful for noise predictors whose
     initial output should vanish).
     """

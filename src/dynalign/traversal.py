@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
-from .numcore import AdamState, Rng, adam_step
+from .errors import InputError
+from .numcore import Rng, fit, shuffled_batches
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +261,11 @@ class RecurrentPredictor:
 
 
 def train_recurrent(pred, sequences, epochs, rng, lr=1e-3, batch=16):
-    """Teacher-forced MSE training; aborts on divergence."""
+    """Teacher-forced MSE training; returns the predictor and its per-epoch
+    mean losses. Aborts on divergence (`numcore.fit`)."""
     data = np.stack([np.asarray(s, dtype=np.float64) for s in sequences])
-    n = data.shape[0]
-    state = AdamState(pred.params, lr=lr)
     order_rng = rng.stream("order")
-    curve = []
-    initial = None
-    for epoch in range(epochs):
-        perm = order_rng.substream(epoch).permutation(n)
-        total, count = 0.0, 0
-        for start in range(0, n, batch):
-            idx = perm[start : start + batch]
-            loss, grads = pred.loss_and_grads(data[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite recurrent loss at epoch {epoch}")
-            adam_step(pred.params, grads, state)
-            total += loss
-            count += 1
-        mean_loss = total / max(count, 1)
-        if initial is None:
-            initial = mean_loss
-        if mean_loss > 10.0 * max(initial, 1e-12) + 1.0:
-            raise NumericError(f"recurrent training diverged at epoch {epoch}")
-        curve.append(mean_loss)
+    curve = fit(pred.params, epochs,
+                lambda epoch: shuffled_batches(order_rng, epoch, data.shape[0], batch),
+                lambda idx: pred.loss_and_grads(data[idx]), lr, "recurrent")
     return pred, curve

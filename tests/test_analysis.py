@@ -197,11 +197,11 @@ class TestKde:
     def test_grid_spacing_must_resolve_bandwidth(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[10.0, 10.0]])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="analysis.kde_nodes"):
             kde_fit(a, b, h=0.05, nodes=9)
 
     def test_dimension_cap(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="analysis.kde_d"):
             kde_fit(np.zeros((5, 4)), np.ones((5, 4)))
 
 

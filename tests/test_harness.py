@@ -312,6 +312,20 @@ class TestCli:
         ({"analysis": {"kde_nodes": 1}}, "analysis.kde_nodes"),
         ({"analysis": {"kde_bandwidth": -0.1}}, "analysis.kde_bandwidth"),
         ({"traversal": {"recurrent_hidden": 0}}, "traversal.recurrent_hidden"),
+        ({"embedding": {"tau": 0}}, "embedding.tau"),
+        ({"embedding": {"window": 1}}, "embedding.window"),
+        ({"embedding": {"val_fraction": 1.0}}, "embedding.val_fraction"),
+        ({"lifting": {"kernel": "foo"}}, "lifting.kernel"),
+        ({"lifting": {"metric": "foo"}}, "lifting.metric"),
+        ({"lifting": {"k_grid": []}}, "lifting.k_grid"),
+        ({"lifting": {"sigma": 0}}, "lifting.sigma"),
+        ({"lifting": {"holdout_fraction": 1.0}}, "lifting.holdout_fraction"),
+        ({"traversal": {"lam": -1}}, "traversal.lam"),
+        ({"diffusion": {"beta_start": 0}}, "diffusion.beta_start"),
+        ({"diffusion": {"beta_end": 1}}, "diffusion.beta_end"),
+        ({"diffusion": {"beta_start": 0.03, "beta_end": 0.02}}, "diffusion.beta_start"),
+        ({"dataset": {"test_fraction": 1.0}}, "dataset.test_fraction"),
+        ({"dataset": {"state_dim": 1}}, "dataset.state_dim"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         bad = tmp_path / "bad.json"
@@ -325,6 +339,20 @@ class TestCli:
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runs").exists()
+
+    def test_diverging_denoiser_exits_3_before_caching_it(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**TINY, "diffusion": {**TINY["diffusion"], "lr": 1e9}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "diffusion training diverged" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        cached = [p.name for p in (tmp_path / "runs" / "cache").iterdir()]
+        assert len(cached) == 1 and cached[0].startswith("dataset-")
 
     def test_simulate_cli_runs(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from dynalign.errors import NumericError
+from dynalign.errors import InputError, NumericError
 from dynalign.numcore import (
-    AdamState, Mlp, Rng, adam_step, grad_check, sinusoidal_features,
+    AdamState, Mlp, Rng, adam_step, fit, grad_check, shuffled_batches,
+    sinusoidal_features, sq_dists,
 )
 
 
@@ -68,6 +69,99 @@ class TestAdam:
             AdamState({"w": np.zeros(1)}, beta1=1.0)
         with pytest.raises(ValueError):
             AdamState({"w": np.zeros(1)}, eps=0.0)
+
+
+def quadratic(params, target):
+    """Loss |w - target|^2 and its gradient."""
+    r = params["w"] - target
+    return float(r @ r), {"w": 2.0 * r}
+
+
+class TestFit:
+    def test_fits_and_returns_one_mean_per_epoch(self):
+        params = {"w": np.zeros(2)}
+        target = np.array([1.0, -1.0])
+        curve = fit(params, 30, lambda epoch: range(3),
+                    lambda b: quadratic(params, target), 0.1, "toy")
+        assert len(curve) == 30
+        assert curve[-1] < curve[0]
+
+    def test_epoch_mean_is_summed_in_batch_order(self):
+        losses = [0.1, 0.2, 0.3]
+        curve = fit({"w": np.zeros(1)}, 1, lambda epoch: losses,
+                    lambda lo: (lo, {"w": np.zeros(1)}), 0.1, "toy")
+        assert curve == [(0.0 + 0.1 + 0.2 + 0.3) / 3]
+
+    def test_divergence_raises(self):
+        # An epoch mean above 10 * first + 1 trips the guard.
+        means = iter([1.0, 11.0, 11.5])
+        with pytest.raises(NumericError, match="toy training diverged at epoch 2"):
+            fit({"w": np.zeros(1)}, 3, lambda epoch: [epoch],
+                lambda b: (next(means), {"w": np.zeros(1)}), 0.1, "toy")
+
+    def test_nonfinite_loss_raises(self):
+        with pytest.raises(NumericError, match="non-finite toy loss at epoch 0"):
+            fit({"w": np.zeros(1)}, 2, lambda epoch: [0],
+                lambda b: (np.inf, {"w": np.zeros(1)}), 0.1, "toy")
+
+    def test_none_batches_are_skipped(self):
+        params = {"w": np.zeros(1)}
+        state = {"steps": 0}
+
+        def loss_and_grads(b):
+            if b % 2:
+                return None
+            state["steps"] += 1
+            return float(b), {"w": np.ones(1)}
+
+        curve = fit(params, 2, lambda epoch: range(4), loss_and_grads, 0.1, "toy")
+        assert curve == [1.0, 1.0]
+        assert state["steps"] == 4
+
+    def test_every_batch_skipped_raises(self):
+        with pytest.raises(InputError, match="every toy training batch degenerated"):
+            fit({"w": np.zeros(1)}, 2, lambda epoch: range(3), lambda b: None, 0.1, "toy")
+
+    def test_stop_ends_training_early(self):
+        params = {"w": np.zeros(2)}
+        seen = []
+
+        def stop(mean):
+            seen.append(mean)
+            return len(seen) == 4
+
+        curve = fit(params, 50, lambda epoch: range(2),
+                    lambda b: quadratic(params, np.ones(2)), 0.1, "toy", stop=stop)
+        assert len(curve) == 4
+        assert curve == seen
+
+
+def test_shuffled_batches_cover_every_index_once_per_epoch():
+    rng = Rng(3).stream("order")
+    for epoch in range(3):
+        batches = shuffled_batches(rng, epoch, 23, 5)
+        assert [b.size for b in batches] == [5, 5, 5, 5, 3]
+        assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(23))
+    assert not np.array_equal(np.concatenate(shuffled_batches(rng, 0, 23, 5)),
+                              np.concatenate(shuffled_batches(rng, 1, 23, 5)))
+
+
+def test_sq_dists_matches_broadcast_difference():
+    a = Rng(4).normal((7, 3))
+    b = Rng(5).normal((9, 3))
+    oracle = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    assert np.allclose(sq_dists(a, b), oracle, rtol=1e-12, atol=1e-12)
+    self_oracle = np.sum((a[:, None, :] - a[None, :, :]) ** 2, axis=2)
+    assert np.allclose(sq_dists(a, a), self_oracle, rtol=1e-12, atol=1e-12)
+
+
+def test_sq_dists_never_negative():
+    # Near-duplicate rows far from the origin: the Gram expansion cancels to
+    # rounding noise, which must be clipped at 0.
+    a = 1e4 + Rng(6).normal((50, 4)) * 1e-9
+    d2 = sq_dists(a, a)
+    assert np.all(d2 >= 0.0)
+    assert np.min(sq_dists(a, a[::-1])) >= 0.0
 
 
 class TestGradCheck:
