@@ -13,7 +13,7 @@ import numpy as np
 
 from . import binio
 from .errors import ConfigError, InputError, ShapeError
-from .numcore import Mlp, Rng, condition_features, fit, sq_dists
+from .numcore import Mlp, Rng, condition_features, fit, split_count, sq_dists
 
 CHECKPOINT_MAGIC = b"ENC1"
 
@@ -231,7 +231,7 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
         delta_t = 2.0 / max(min_frames - 1, 1)
 
     val_rng = rng.stream("val-split")
-    n_val = max(1, int(round(uniq.size * config.val_fraction)))
+    n_val = split_count(uniq.size, config.val_fraction)
     val_set = set(uniq[np.sort(val_rng.choice(uniq.size, size=n_val))])
     train_trajs = [t for t in uniq if t not in val_set]
     val_trajs = [t for t in uniq if t in val_set]

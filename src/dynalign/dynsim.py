@@ -6,30 +6,15 @@ trajectories are genuinely curved in state space. Low regime parameters
 decay ("steady", class 0); high ones stay periodic ("unsteady", class 1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio
 from .errors import ConfigError, InputError
-from .numcore import Rng
+from .numcore import Rng, split_count
 
 DATASET_MAGIC = b"DYN1"
-
-
-@dataclass
-class Trajectory:
-    xs: np.ndarray          # (S, D) embedded states
-    ss: np.ndarray          # (S, 2) latent oscillator states
-    taus: np.ndarray        # (S,) phase times in [0, 1]
-    alphas: np.ndarray      # (S,) ordering parameter, i/(S-1)
-    mu: float
-    zeta: float
-    omega: float
-    class_label: int
-
-    def __len__(self):
-        return self.xs.shape[0]
 
 
 class OscillatorMap:
@@ -69,7 +54,17 @@ class OscillatorMap:
 
 @dataclass
 class Dataset:
-    trajectories: list
+    """A trajectory set as columns: per-frame arrays (n_traj, S, ...) and
+    per-trajectory arrays (n_traj,), the layout the dataset file stores."""
+
+    xs: np.ndarray                  # (n, S, D) embedded states
+    ss: np.ndarray                  # (n, S, 2) latent oscillator states
+    taus: np.ndarray                # (n, S) phase times in [0, 1]
+    alphas: np.ndarray              # (n, S) ordering parameter, i/(S-1)
+    mus: np.ndarray                 # (n,) regime parameters
+    zetas: np.ndarray               # (n,) damping rates
+    omegas: np.ndarray              # (n,) angular frequencies
+    labels: np.ndarray              # (n,) int64 class labels
     splits: list                    # per-trajectory "train" / "test"
     seed: int
     mapping: OscillatorMap
@@ -77,34 +72,28 @@ class Dataset:
     mu_threshold: float
     t_max: float = 1.0
     center: tuple = (0.0, 0.0)      # latent fixed point the cycles orbit
-    state_dim: int = field(init=False)
 
-    def __post_init__(self):
-        self.state_dim = self.trajectories[0].xs.shape[1]
+    @property
+    def state_dim(self):
+        return self.xs.shape[2]
 
     def indices(self, split):
-        """Trajectory indices of a split; every trajectory when split is None."""
+        """Indices of a split's trajectories; all of them when split is None."""
         return [i for i, s in enumerate(self.splits) if split is None or s == split]
 
-    def stack(self, split):
-        """Flatten a split (every trajectory when None) into aligned per-frame arrays."""
+    def stack(self, split, **per_traj):
+        """Flatten a split (every trajectory when None) into aligned per-frame
+        columns x, tau, mu, label and traj, plus each (n_traj, S, ...) array
+        passed by name."""
         idx = self.indices(split)
         if not idx:
             raise InputError(f"no trajectories in split {split!r}")
-        trajs = [self.trajectories[i] for i in idx]
-        return {
-            "x": np.concatenate([t.xs for t in trajs]),
-            "s": np.concatenate([t.ss for t in trajs]),
-            "tau": np.concatenate([t.taus for t in trajs]),
-            "alpha": np.concatenate([t.alphas for t in trajs]),
-            "mu": np.concatenate([np.full(len(t), t.mu) for t in trajs]),
-            "label": np.concatenate(
-                [np.full(len(t), t.class_label, dtype=np.int64) for t in trajs]
-            ),
-            "traj": np.concatenate(
-                [np.full(len(t), i, dtype=np.int64) for i, t in zip(idx, trajs)]
-            ),
-        }
+        S = self.xs.shape[1]
+        cols = dict(per_traj, x=self.xs, tau=self.taus)
+        out = {name: col[idx].reshape(-1, *col.shape[2:]) for name, col in cols.items()}
+        out.update(mu=np.repeat(self.mus[idx], S), label=np.repeat(self.labels[idx], S),
+                   traj=np.repeat(np.array(idx, dtype=np.int64), S))
+        return out
 
 
 def class_from_mu(mu, mu_threshold):
@@ -149,12 +138,12 @@ def generate_oscillator(
     taus = np.linspace(0.0, 1.0, S)
     alphas = np.arange(S, dtype=np.float64) / (S - 1)
 
-    trajectories = []
+    omega = 2.0 * np.pi
+    rows = []
     for i in range(n_traj):
         sub = rng.stream("traj").substream(i)
         mu = lo + (hi - lo) * sub.uniform()
         u = 0.0 if hi == lo else (mu - lo) / (hi - lo)
-        omega = 2.0 * np.pi
         label = class_from_mu(mu, mu_threshold)
         if label == 1:
             zeta = 0.0
@@ -168,26 +157,24 @@ def generate_oscillator(
         ss = center + np.stack(
             [radius * np.cos(omega * t), radius * np.sin(omega * t)], axis=1
         )
-        trajectories.append(
-            Trajectory(
-                xs=mapping.embed(ss),
-                ss=ss,
-                taus=taus.copy(),
-                alphas=alphas.copy(),
-                mu=float(mu),
-                zeta=float(zeta),
-                omega=float(omega),
-                class_label=label,
-            )
-        )
+        # One embed call per trajectory: BLAS rows depend on their batch.
+        rows.append((mapping.embed(ss), ss, mu, zeta, label))
 
-    n_test = max(1, int(round(n_traj * test_fraction)))
+    xs, ss_all, mus, zetas, labels = zip(*rows)
+    n_test = split_count(n_traj, test_fraction)
     order = rng.stream("split").permutation(n_traj)
     splits = ["train"] * n_traj
     for j in order[:n_test]:
         splits[j] = "test"
     return Dataset(
-        trajectories=trajectories,
+        xs=np.stack(xs),
+        ss=np.stack(ss_all),
+        taus=np.tile(taus, (n_traj, 1)),
+        alphas=np.tile(alphas, (n_traj, 1)),
+        mus=np.array(mus, dtype=np.float64),
+        zetas=np.array(zetas, dtype=np.float64),
+        omegas=np.full(n_traj, omega),
+        labels=np.array(labels, dtype=np.int64),
         splits=splits,
         seed=int(seed),
         mapping=mapping,
@@ -236,44 +223,23 @@ def save_dataset(ds, path):
         "center": list(ds.center),
         "amp": ds.mapping.amp,
         "splits": ds.splits,
-        "labels": [t.class_label for t in ds.trajectories],
+        "labels": ds.labels.tolist(),
     }
-    arrays = {
-        "q": ds.mapping.q,
-        "u": ds.mapping.u,
-        "mus": np.array([t.mu for t in ds.trajectories]),
-        "zetas": np.array([t.zeta for t in ds.trajectories]),
-        "omegas": np.array([t.omega for t in ds.trajectories]),
-        "xs": np.stack([t.xs for t in ds.trajectories]),
-        "ss": np.stack([t.ss for t in ds.trajectories]),
-        "taus": np.stack([t.taus for t in ds.trajectories]),
-        "alphas": np.stack([t.alphas for t in ds.trajectories]),
-    }
+    arrays = {"q": ds.mapping.q, "u": ds.mapping.u, "mus": ds.mus, "zetas": ds.zetas,
+              "omegas": ds.omegas, "xs": ds.xs, "ss": ds.ss, "taus": ds.taus,
+              "alphas": ds.alphas}
     binio.write_envelope(path, DATASET_MAGIC, meta, arrays)
 
 
 def load_dataset(path):
     meta, arr = binio.read_envelope(path, DATASET_MAGIC)
-    mapping = OscillatorMap(arr["q"], arr["u"], meta["amp"])
-    trajectories = []
-    for i in range(arr["xs"].shape[0]):
-        trajectories.append(
-            Trajectory(
-                xs=arr["xs"][i],
-                ss=arr["ss"][i],
-                taus=arr["taus"][i],
-                alphas=arr["alphas"][i],
-                mu=float(arr["mus"][i]),
-                zeta=float(arr["zetas"][i]),
-                omega=float(arr["omegas"][i]),
-                class_label=int(meta["labels"][i]),
-            )
-        )
     return Dataset(
-        trajectories=trajectories,
+        xs=arr["xs"], ss=arr["ss"], taus=arr["taus"], alphas=arr["alphas"],
+        mus=arr["mus"], zetas=arr["zetas"], omegas=arr["omegas"],
+        labels=np.array(meta["labels"], dtype=np.int64),
         splits=list(meta["splits"]),
         seed=int(meta["seed"]),
-        mapping=mapping,
+        mapping=OscillatorMap(arr["q"], arr["u"], meta["amp"]),
         mu_range=tuple(meta["mu_range"]),
         mu_threshold=float(meta["mu_threshold"]),
         t_max=float(meta["t_max"]),

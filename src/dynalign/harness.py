@@ -24,7 +24,7 @@ from . import analysis, binio, contrastive, diffusion, dynsim, lifting, metrics,
 from .contrastive import EmbeddingConfig
 from .errors import ConfigError, FormatError, InputError, NumericError
 from .lifting import LiftingConfig
-from .numcore import Rng
+from .numcore import Rng, split_count
 
 CSV_HEADER = "dataset,space,method,metric,value,std,n,seed"
 
@@ -163,27 +163,25 @@ def config_from_dict(doc):
 # greatest one, "in" a set of allowed values. A null value (the field's
 # heuristic) is not checked. tex2 needs a 3-point window, the
 # linear methods a keyframe gap with a frame inside it, a KDE grid two nodes
-# per axis, a contrastive window two frames to pair, and the training,
-# encoder and lifting splits something left over.
+# per axis, a contrastive window two frames to pair, the noise schedule two
+# steps and DDIM one stride over them.
 _BOUNDS = {
     "render_grid": (">=", 8), "dataset.n_traj": (">=", 2),
     "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
-    "dataset.test_fraction": ("<", 1), "diffusion.batch": (">=", 1),
+    "diffusion.T": (">=", 2), "diffusion.steps": (">=", 1), "diffusion.batch": (">=", 1),
     "diffusion.beta_start": (">", 0), "diffusion.beta_end": ("<", 1),
     "embedding.d": (">=", 1), "embedding.tau": (">", 0),
     "embedding.traj_per_batch": (">=", 1), "embedding.window": (">=", 2),
-    "embedding.val_fraction": ("<", 1),
     "traversal.lam": (">=", 0),
     "traversal.keyframe_stride": (">=", 2), "traversal.tex_window": (">=", 3),
     "traversal.context": (">=", 1), "traversal.target_stride": (">=", 1),
     "traversal.render_targets_per_traj": (">=", 1),
     "traversal.recurrent_hidden": (">=", 1),
     "lifting.kernel": ("in", lifting.KERNELS), "lifting.metric": ("in", lifting.METRICS),
-    "lifting.sigma": (">", 0), "lifting.holdout_fraction": ("<", 1),
-    "analysis.svm_lam": (">", 0), "analysis.svm_steps": (">=", 1),
+    "lifting.sigma": (">", 0), "analysis.svm_lam": (">", 0), "analysis.svm_steps": (">=", 1),
     "analysis.svm_gamma": (">", 0), "analysis.frames_per_traj_class": (">=", 1),
-    "analysis.kde_bandwidth": (">", 0), "analysis.kde_nodes": (">=", 2),
-    "analysis.kde_frames_per_class": (">=", 1),
+    "analysis.kde_d": (">=", 1), "analysis.kde_bandwidth": (">", 0),
+    "analysis.kde_nodes": (">=", 2), "analysis.kde_frames_per_class": (">=", 1),
 }
 _COMPARE = {
     ">": (operator.gt, "above"), ">=": (operator.ge, "at least"), "<": (operator.lt, "below"),
@@ -202,6 +200,16 @@ def validate_config(cfg):
             raise ConfigError(f"must be {words} {bound}", field=path)
     if not cfg.lifting.k_grid:
         raise ConfigError("must be non-empty", field="lifting.k_grid")
+    # The encoder needs 2 training trajectories, one of them outside its
+    # validation split; the lifting table one outside its holdout.
+    n_train = d.n_traj - split_count(d.n_traj, d.test_fraction)
+    if n_train < 2:
+        raise ConfigError(f"leaves {n_train} of {d.n_traj} trajectories to train on; "
+                          "need 2", field="dataset.test_fraction")
+    for path in ("embedding.val_fraction", "lifting.holdout_fraction"):
+        if split_count(n_train, operator.attrgetter(path)(cfg)) >= n_train:
+            raise ConfigError(f"takes every one of the {n_train} training trajectories",
+                              field=path)
     for name in ("tex_window", "context"):
         if getattr(t, name) >= d.frames_per_traj - 1:
             raise ConfigError("must leave a frame to predict before the last",
@@ -387,7 +395,7 @@ def stage_latents(ws, ds, model, sched):
         conds = diffusion.condition_columns(frames["tau"], frames["mu"], model.cond_components)
         z = diffusion.ddim_invert(model, frames["x"], conds, sched, cfg.diffusion.steps)
         binio.write_envelope(path, LATENTS_MAGIC, {"steps": cfg.diffusion.steps},
-                             {"z": z.reshape(len(ds.trajectories), -1, ds.state_dim)})
+                             {"z": z.reshape(ds.xs.shape)})
 
     def read(path):
         _, arrays = binio.read_envelope(path, LATENTS_MAGIC)
@@ -407,19 +415,11 @@ def _upstream(ws, emb_cfg, tag):
     return ds, model, sched, z_all, encoder
 
 
-def _flatten(ds, z_all, split=None):
-    """Aligned per-frame arrays of one split (every trajectory when None),
-    with the latents under "z"."""
-    data = ds.stack(split)
-    data["z"] = np.concatenate([z_all[i] for i in ds.indices(split)])
-    return data
-
-
 def embed_frames(encoder, ds, z_all, split=None):
     """Embed one split's frames in one batch, as (n, d) rows; with no split,
     every frame, as an (n_traj, S, d) array. A conditioned encoder also gets
     each frame's (tau, mu)."""
-    frames = _flatten(ds, z_all, split)
+    frames = ds.stack(split, z=z_all)
     cond = np.stack([frames["tau"], frames["mu"]], axis=1) if encoder.use_condition else None
     c = contrastive.embed(encoder, frames["z"], cond)
     return c if split else c.reshape(z_all.shape[0], z_all.shape[1], -1)
@@ -429,7 +429,7 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
     cfg = ws.cfg
 
     def write(path):
-        train = _flatten(ds, z_all, "train")
+        train = ds.stack("train", z=z_all)
         enc = contrastive.EncoderModel(
             ds.state_dim, emb_cfg.d, hidden=tuple(emb_cfg.hidden),
             use_condition=emb_cfg.use_condition,
@@ -445,6 +445,11 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
     return ws.stage(tag, _encoder_key(cfg, emb_cfg), write, contrastive.load_encoder)
 
 
+def _frames(arr, idx):
+    """The frames of trajectories `idx` of an (n_traj, S, dim) array, as rows."""
+    return arr[idx].reshape(-1, arr.shape[2])
+
+
 def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
     """kNN lifting table from the embedded frames `c_all` of the encoder
     trained under `emb_cfg` (the config's embedding section by default),
@@ -454,15 +459,11 @@ def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
 
     def write(path):
         train_idx = ds.indices("train")
-        n_hold = max(1, int(round(len(train_idx) * cfg.lifting.holdout_fraction)))
-        hold_idx = train_idx[-n_hold:]
-        ref_idx = train_idx[:-n_hold] or train_idx
-        c_ref = np.concatenate([c_all[i] for i in ref_idx])
-        z_ref = np.concatenate([z_all[i] for i in ref_idx])
-        table = lifting.build_table(c_ref, z_ref, cfg.lifting)
-        c_hold = np.concatenate([c_all[i] for i in hold_idx])
-        z_hold = np.concatenate([z_all[i] for i in hold_idx])
-        table.k = lifting.select_k(table, cfg.lifting.k_grid, c_hold, z_hold)
+        n_hold = split_count(len(train_idx), cfg.lifting.holdout_fraction)
+        ref, hold = train_idx[:-n_hold], train_idx[-n_hold:]
+        table = lifting.build_table(_frames(c_all, ref), _frames(z_all, ref), cfg.lifting)
+        table.k = lifting.select_k(table, cfg.lifting.k_grid,
+                                   _frames(c_all, hold), _frames(z_all, hold))
         lifting.save_table(table, path)
 
     key = _stage_hash(_encoder_key(cfg, emb_cfg), dataclasses.asdict(cfg.lifting), tag)
@@ -539,10 +540,8 @@ def _space_vectors(cfg, ds, z_all, c_all):
     spaces = {"Z": {"vectors": z_all, "renderable": True},
               "C": {"vectors": c_all, "renderable": True}}
     if cfg.traversal.include_pca:
-        train_idx = ds.indices("train")
-        flat_train = np.concatenate([z_all[i] for i in train_idx])
         d = c_all.shape[-1]
-        pca = analysis.fit_pca(flat_train, d)
+        pca = analysis.fit_pca(_frames(z_all, ds.indices("train")), d)
         n_traj, S, D = z_all.shape
         proj = analysis.pca_project(pca, z_all.reshape(-1, D))
         spaces["PCA"] = {
@@ -621,13 +620,12 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
 
     true_imgs = {}
     for ti in test_idx:
-        traj = ds.trajectories[ti]
         for s_star in render_targets:
-            true_imgs[(ti, s_star)] = dynsim.render(traj.xs[s_star], grid, ds.mapping)
+            true_imgs[(ti, s_star)] = dynsim.render(ds.xs[ti, s_star], grid, ds.mapping)
 
     for space, info in spaces.items():
         vecs_all = info["vectors"]
-        train_vecs = np.concatenate([vecs_all[i] for i in train_idx])
+        train_vecs = _frames(vecs_all, train_idx)
         center = train_vecs.mean(axis=0)
         scale = float(np.sqrt(np.mean((train_vecs - center) ** 2)))
         rows.append(row(cfg, space, "all", "space_scale", scale, train_vecs.shape[0]))
@@ -637,15 +635,14 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
             rng=seed_rng.stream(f"recurrent-{space}-init"),
         )
         traversal.train_recurrent(
-            rec, [vecs_all[i] for i in train_idx], tcfg.recurrent_epochs,
+            rec, vecs_all[train_idx], tcfg.recurrent_epochs,
             seed_rng.stream(f"recurrent-{space}-train"), lr=tcfg.recurrent_lr,
         )
 
         for method in _method_list(space, tcfg):
             pred_trajs, render_preds = [], {}
             for ti in test_idx:
-                vecs, alphas = vecs_all[ti], ds.trajectories[ti].alphas
-                pred = np.stack([_predict(method, vecs, alphas, s, tcfg, rec, kf)
+                pred = np.stack([_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, rec, kf)
                                  for s in targets])
                 pred_trajs.append(pred)
                 render_preds.update({(ti, s): pred[targets.index(s)] for s in render_targets})
@@ -659,16 +656,14 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
 
             if info["renderable"]:
                 keys = sorted(render_preds)
+                key_traj, key_frame = np.array(keys).T
                 cs = np.stack([render_preds[k] for k in keys])
                 if space == "Z":
                     z_hat = cs
                 else:
                     z_hat = lifting.lift_many(table, cs)
                 conds = diffusion.condition_columns(
-                    np.array([ds.trajectories[ti].taus[s] for ti, s in keys]),
-                    np.array([ds.trajectories[ti].mu for ti, s in keys]),
-                    model.cond_components,
-                )
+                    ds.taus[key_traj, key_frame], ds.mus[key_traj], model.cond_components)
                 x_hat = diffusion.ddim_sample(model, z_hat, sched,
                                               cfg.diffusion.steps, cond=conds)
                 imgs = [dynsim.render(x, grid, ds.mapping) for x in np.atleast_2d(x_hat)]
@@ -688,9 +683,7 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
         for ti in test_idx:
             pts = vecs_all[ti]
             flat2 = analysis.pca_project(analysis.fit_pca(pts, 2), pts)
-            disparities.append(
-                metrics.procrustes_distance(flat2, ds.trajectories[ti].ss)
-            )
+            disparities.append(metrics.procrustes_distance(flat2, ds.ss[ti]))
         disparities = np.array(disparities)
         rows.append(row(cfg, space, "alignment", "procrustes", float(disparities.mean()),
                         disparities.size, float(disparities.std())))
@@ -723,7 +716,7 @@ def cmd_simulate(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     ds = stage_dataset(ws)
     summary = {
-        "n_traj": len(ds.trajectories),
+        "n_traj": len(ds.splits),
         "n_train": len(ds.indices("train")),
         "n_test": len(ds.indices("test")),
         "state_dim": ds.state_dim,
@@ -767,14 +760,11 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
     the dataset's own split.
     """
     acfg = cfg.analysis
-    n_traj = len(ds.trajectories)
-    S = z_all.shape[1]
+    n_traj, S = z_all.shape[:2]
     stride = max(1, S // acfg.frames_per_traj_class)
     frame_sel = np.arange(0, S, stride)
 
-    mus = np.array([t.mu for t in ds.trajectories])
-    if labels is None:
-        labels = np.array([t.class_label for t in ds.trajectories])
+    labels = ds.labels if labels is None else labels
     c_all = embed_frames(encoder, ds, z_all)
     feats = {
         "Z": z_all[:, frame_sel, :],
@@ -785,23 +775,24 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
         folds = [(np.array(ds.indices("train")), np.array(ds.indices("test")))]
     else:
         folds = []
-        for lo, hi in _band_folds(mus, acfg.folds):
-            test_traj = np.flatnonzero((mus >= lo) & (mus < hi))
+        for lo, hi in _band_folds(ds.mus, acfg.folds):
+            test_traj = np.flatnonzero((ds.mus >= lo) & (ds.mus < hi))
             folds.append((np.setdiff1d(np.arange(n_traj), test_traj), test_traj))
+    # A fold is scored only if it has test frames and both classes to train on.
+    folds = [(f, train, test) for f, (train, test) in enumerate(folds)
+             if test.size and np.unique(labels[train]).size > 1]
+    if not folds:
+        raise InputError("no fold's training set holds both classes")
 
     rows = []
     results = {}
     for space, arr in feats.items():
         for kernel in ("linear", "rbf"):
             pooled_scores, pooled_labels = [], []
-            for f, (train_traj, test_traj) in enumerate(folds):
-                if test_traj.size == 0 or train_traj.size == 0:
-                    continue
+            for f, train_traj, test_traj in folds:
                 y_train = np.repeat(labels[train_traj], frame_sel.size)
-                if np.unique(y_train).size < 2:
-                    continue
-                x_train = arr[train_traj].reshape(-1, arr.shape[2])
-                x_test = arr[test_traj].reshape(-1, arr.shape[2])
+                x_train = _frames(arr, train_traj)
+                x_test = _frames(arr, test_traj)
                 svm_cfg = analysis.SvmConfig(
                     kernel=kernel, lam=acfg.svm_lam, steps=acfg.svm_steps,
                     gamma=acfg.svm_gamma, max_points=acfg.svm_max_points,
@@ -845,11 +836,10 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
     c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
 
-    train = ds.indices("train")
-    labels = np.array([ds.trajectories[i].class_label for i in train])
-    c_train = np.stack([c_all[i] for i in train])
-    class0 = c_train[labels == 0].reshape(-1, encoder.embed_dim)
-    class1 = c_train[labels == 1].reshape(-1, encoder.embed_dim)
+    train = np.array(ds.indices("train"))
+    labels = ds.labels[train]
+    class0 = _frames(c_all, train[labels == 0])
+    class1 = _frames(c_all, train[labels == 1])
     cap = cfg.analysis.kde_frames_per_class
     class0 = class0[:: max(1, class0.shape[0] // cap)]
     class1 = class1[:: max(1, class1.shape[0] // cap)]
@@ -860,7 +850,7 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
         raise NumericError("class-conditional densities are indistinguishable; "
                            "no traversal direction exists")
 
-    train_flat = _flatten(ds, z_all, "train")
+    train_flat = ds.stack("train")
     c_flat = embed_frames(encoder, ds, z_all, "train")
 
     def peak_condition(point):
@@ -915,7 +905,7 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
 
 
 def orthogonality_values(cfg, ds, z_all, encoder):
-    test = _flatten(ds, z_all, "test")
+    test = ds.stack("test", z=z_all)
     c_test = embed_frames(encoder, ds, z_all, "test")
     return {
         "Z": analysis.orthogonality_probe(test["z"], test["tau"], test["mu"]),

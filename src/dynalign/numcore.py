@@ -54,6 +54,12 @@ class Rng:
         return self._gen.choice(n, size=size, replace=replace)
 
 
+def split_count(n, fraction):
+    """Items a split taking `fraction` of `n` holds: the rounded share, and
+    at least one."""
+    return max(1, int(round(n * fraction)))
+
+
 class AdamState:
     """Bias-corrected Adam moments for a named parameter collection."""
 
@@ -217,7 +223,8 @@ def _silu(z):
     """SiLU of z and the sigmoid gate its slope reuses, built once in one
     buffer."""
     s = np.negative(z)
-    np.exp(s, out=s)
+    with np.errstate(over="ignore"):    # exp(-z) = inf is the exact gate 0
+        np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
     return z * s, s

@@ -1,4 +1,4 @@
-"""Trajectory editing operators: smoothing splines, Taylor extrapolation,
+"""Editing operators on trajectories: smoothing splines, Taylor extrapolation,
 linear/spherical interpolation, and a small gated recurrent predictor.
 
 All operators are dimension-generic; they run unchanged on feature latents

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynalign import dynsim
-from dynalign.errors import ConfigError, FormatError
+from dynalign.errors import ConfigError, FormatError, InputError
 
 
 def small_dataset(seed=0, **kw):
@@ -16,39 +16,33 @@ class TestGenerate:
         # Degenerate regime interval at the unsteady end, window of exactly
         # one period: the loop closes.
         ds = small_dataset(mu_range=(1.0, 1.0), frames_per_traj=33, t_max=1.0)
-        traj = ds.trajectories[0]
-        assert traj.zeta == 0.0
-        assert np.max(np.abs(traj.xs[0] - traj.xs[-1])) < 1e-9
+        assert ds.zetas[0] == 0.0
+        assert np.max(np.abs(ds.xs[0, 0] - ds.xs[0, -1])) < 1e-9
 
     def test_decaying_regime_shrinks_monotonically(self):
         ds = small_dataset(n_traj=16)
-        steady = [t for t in ds.trajectories if t.class_label == 0]
-        assert steady, "expected at least one decaying trajectory"
-        center = np.asarray(ds.center)
-        for traj in steady:
-            assert traj.zeta > 0.0
-            envelope = np.linalg.norm(traj.ss - center, axis=1)
-            assert np.all(np.diff(envelope) < 0.0)
+        steady = ds.labels == 0
+        assert steady.any(), "expected at least one decaying trajectory"
+        assert np.all(ds.zetas[steady] > 0.0)
+        envelope = np.linalg.norm(ds.ss[steady] - np.asarray(ds.center), axis=2)
+        assert np.all(np.diff(envelope, axis=1) < 0.0)
 
     def test_same_seed_bit_identical(self):
         a = small_dataset(seed=3)
         b = small_dataset(seed=3)
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            assert np.array_equal(ta.xs, tb.xs)
-            assert ta.mu == tb.mu
+        assert np.array_equal(a.xs, b.xs)
+        assert np.array_equal(a.mus, b.mus)
         assert a.splits == b.splits
 
     def test_alpha_grid_is_exact(self):
         ds = small_dataset()
-        S = len(ds.trajectories[0])
-        expect = np.arange(S) / (S - 1)
-        for traj in ds.trajectories:
-            assert np.array_equal(traj.alphas, expect)
+        S = ds.xs.shape[1]
+        assert np.array_equal(ds.alphas, np.tile(np.arange(S) / (S - 1), (8, 1)))
 
     def test_labels_rederivable_from_mu(self):
         ds = small_dataset(n_traj=20)
-        for traj in ds.trajectories:
-            assert traj.class_label == dynsim.class_from_mu(traj.mu, ds.mu_threshold)
+        for mu, label in zip(ds.mus, ds.labels):
+            assert label == dynsim.class_from_mu(mu, ds.mu_threshold)
 
     def test_splits_are_blocked_and_disjoint(self):
         ds = small_dataset(n_traj=12)
@@ -56,6 +50,15 @@ class TestGenerate:
         test = set(ds.indices("test"))
         assert train.isdisjoint(test)
         assert train | test == set(range(12))
+
+    def test_columns_have_documented_shapes(self):
+        ds = small_dataset()
+        assert ds.xs.shape == (8, 16, 6) and ds.state_dim == 6
+        assert ds.ss.shape == (8, 16, 2)
+        assert ds.taus.shape == ds.alphas.shape == (8, 16)
+        for col in (ds.mus, ds.zetas, ds.omegas, ds.labels):
+            assert col.shape == (8,)
+        assert ds.labels.dtype == np.int64
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):
@@ -68,12 +71,40 @@ class TestGenerate:
             small_dataset(D=1)
 
 
+class TestStack:
+    def test_per_traj_array_lines_up_with_frame_columns(self):
+        ds = small_dataset()
+        n, S, _ = ds.xs.shape
+        # A caller array whose entries spell out (trajectory, frame, channel).
+        extra = (np.arange(n)[:, None, None] * 1000 + np.arange(S)[None, :, None] * 10
+                 + np.arange(3)[None, None, :]).astype(np.float64)
+        for split in ("train", "test", None):
+            idx = ds.indices(split)
+            flat = ds.stack(split, extra=extra)
+            assert flat["extra"].shape == (len(idx) * S, 3)
+            traj = flat["extra"][:, 0] // 1000
+            frame = (flat["extra"][:, 0] % 1000) // 10
+            assert np.array_equal(traj, flat["traj"])
+            assert np.array_equal(traj, np.repeat(idx, S))
+            assert np.array_equal(frame, np.tile(np.arange(S), len(idx)))
+            assert np.array_equal(flat["x"], ds.xs[flat["traj"], frame.astype(int)])
+            assert np.array_equal(flat["tau"], ds.taus[flat["traj"], frame.astype(int)])
+            assert np.array_equal(flat["label"], ds.labels[flat["traj"]])
+            assert np.array_equal(flat["mu"], ds.mus[flat["traj"]])
+
+    def test_empty_split_rejected(self):
+        ds = small_dataset()
+        ds.splits = ["train"] * len(ds.splits)
+        with pytest.raises(InputError, match="no trajectories in split 'test'"):
+            ds.stack("test")
+
+
 class TestEmbeddingMap:
     def test_invert_recovers_latent(self):
         ds = small_dataset()
-        for traj in ds.trajectories[:3]:
-            rec = ds.mapping.invert(traj.xs)
-            assert np.max(np.abs(rec - traj.ss)) < 1e-10
+        for xs, ss in zip(ds.xs[:3], ds.ss[:3]):
+            rec = ds.mapping.invert(xs)
+            assert np.max(np.abs(rec - ss)) < 1e-10
 
 
 class TestRender:
@@ -84,7 +115,7 @@ class TestRender:
 
     def test_deterministic(self):
         ds = small_dataset()
-        frame = ds.trajectories[0].xs[5]
+        frame = ds.xs[0, 5]
         a = dynsim.render(frame, 24, ds.mapping)
         b = dynsim.render(frame, 24, ds.mapping)
         assert np.array_equal(a, b)
@@ -99,13 +130,13 @@ class TestRender:
 
     def test_values_in_unit_interval(self):
         ds = small_dataset()
-        img = dynsim.render(ds.trajectories[0].xs[2], 16, ds.mapping)
+        img = dynsim.render(ds.xs[0, 2], 16, ds.mapping)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_grid_too_small(self):
         ds = small_dataset()
         with pytest.raises(Exception):
-            dynsim.render(ds.trajectories[0].xs[0], 4, ds.mapping)
+            dynsim.render(ds.xs[0, 0], 4, ds.mapping)
 
 
 class TestDatasetFile:
@@ -114,10 +145,10 @@ class TestDatasetFile:
         path = tmp_path / "ds.bin"
         dynsim.save_dataset(ds, path)
         back = dynsim.load_dataset(path)
-        for ta, tb in zip(ds.trajectories, back.trajectories):
-            assert np.array_equal(ta.xs, tb.xs)
-            assert np.array_equal(ta.ss, tb.ss)
-            assert ta.mu == tb.mu and ta.omega == tb.omega and ta.zeta == tb.zeta
+        for name in ("xs", "ss", "taus", "alphas", "mus", "zetas", "omegas", "labels"):
+            a, b = getattr(ds, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(back.mapping.u, ds.mapping.u)
         assert back.splits == ds.splits
         assert back.mu_threshold == ds.mu_threshold
         assert np.array_equal(back.mapping.q, ds.mapping.q)

@@ -326,6 +326,17 @@ class TestCli:
         ({"diffusion": {"beta_start": 0.03, "beta_end": 0.02}}, "diffusion.beta_start"),
         ({"dataset": {"test_fraction": 1.0}}, "dataset.test_fraction"),
         ({"dataset": {"state_dim": 1}}, "dataset.state_dim"),
+        ({"diffusion": {"T": 1, "steps": 1}}, "diffusion.T"),
+        ({"diffusion": {"steps": 0}}, "diffusion.steps"),
+        ({"analysis": {"kde_d": 0}}, "analysis.kde_d"),
+        # Each split rounds its share of trajectories: 10 at 0.95 leaves 0 to
+        # train on, and 8 training trajectories at 0.95 leave 0 outside the
+        # encoder's validation split or the lifting holdout.
+        ({"dataset": {"n_traj": 10, "test_fraction": 0.95}}, "dataset.test_fraction"),
+        ({"dataset": {"n_traj": 10}, "embedding": {"val_fraction": 0.95}},
+         "embedding.val_fraction"),
+        ({"dataset": {"n_traj": 10}, "lifting": {"holdout_fraction": 0.95}},
+         "lifting.holdout_fraction"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         bad = tmp_path / "bad.json"
@@ -349,10 +360,25 @@ class TestCli:
             capture_output=True, text=True,
         )
         assert proc.returncode == 3
+        # One line: the exit-3 message, with no numpy overflow warning before it.
+        assert len(proc.stderr.splitlines()) == 1
         assert "diffusion training diverged" in proc.stderr
         assert "Traceback" not in proc.stderr
         cached = [p.name for p in (tmp_path / "runs" / "cache").iterdir()]
         assert len(cached) == 1 and cached[0].startswith("dataset-")
+
+    def test_single_class_classify_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**TINY, "dataset": {**TINY["dataset"], "mu_range": [0.5, 0.5]}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "classify", "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "no fold's training set holds both classes" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_simulate_cli_runs(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -402,9 +428,9 @@ def test_single_fold_equals_plain_split_eval(tmp_path):
     train_idx = ds.indices("train")
     test_idx = ds.indices("test")
     x_train = z_all[train_idx][:, sel, :].reshape(-1, z_all.shape[2])
-    y_train = np.repeat([ds.trajectories[i].class_label for i in train_idx], sel.size)
+    y_train = np.repeat(ds.labels[train_idx], sel.size)
     x_test = z_all[test_idx][:, sel, :].reshape(-1, z_all.shape[2])
-    y_test = np.repeat([ds.trajectories[i].class_label for i in test_idx], sel.size)
+    y_test = np.repeat(ds.labels[test_idx], sel.size)
     svm = analysis.train_svm(
         x_train, y_train,
         analysis.SvmConfig(kernel="rbf", lam=cfg.analysis.svm_lam,
@@ -427,7 +453,7 @@ class TestEndToEndControls:
         emb = dataclasses.replace(run["cfg"].embedding, class_match=True)
         enc = harness.stage_encoder(run["ws"], run["ds"], run["z_all"], emb,
                                     tag="encoder-classify")
-        labels = np.array([t.class_label for t in run["ds"].trajectories])
+        labels = run["ds"].labels
         shuffled = labels[Rng(99).permutation(labels.size)]
         _, results = harness.classification_metrics(
             run["cfg"], run["ds"], run["z_all"], enc,
