@@ -208,19 +208,25 @@ def _grid_axes(points, h, nodes):
     return [np.linspace(lo[j], hi[j], nodes) for j in range(points.shape[1])]
 
 
-def _density_on_grid(mesh, samples, h, max_samples=512):
+def _density_on_grid(axes, samples, h, max_samples=512):
+    """Gaussian KDE at every node of the grid spanned by `axes`, flattened
+    in indexing="ij" order.
+
+    The product kernel factorises over axes: each axis contributes a
+    (nodes, n) factor, the leading factors multiply into (nodes^(d-1), n),
+    and one GEMM with the last axis' factor sums over the samples.
+    """
     if samples.shape[0] > max_samples:
         stride = int(np.ceil(samples.shape[0] / max_samples))
         samples = samples[::stride]
     n, d = samples.shape
     norm = n * (h**d) * (2.0 * np.pi) ** (d / 2.0)
-    out = np.zeros(mesh.shape[0])
-    chunk = max(1, int(4e6 // max(n, 1)))
-    for start in range(0, mesh.shape[0], chunk):
-        block = mesh[start : start + chunk]
-        d2 = np.sum((block[:, None, :] - samples[None, :, :]) ** 2, axis=2)
-        out[start : start + chunk] = np.exp(-d2 / (2.0 * h * h)).sum(axis=1)
-    return out / norm
+    factors = [np.exp(-((ax[:, None] - samples[None, :, j]) ** 2) / (2.0 * h * h))
+               for j, ax in enumerate(axes)]
+    lead = np.ones((1, n))
+    for f in factors[:-1]:
+        lead = (lead[:, None, :] * f[None, :, :]).reshape(-1, n)
+    return (lead @ factors[-1].T).ravel() / norm
 
 
 def kde_fit(class0, class1, h=None, nodes=None):
@@ -252,17 +258,19 @@ def kde_fit(class0, class1, h=None, nodes=None):
         raise ConfigError(
             f"grid spacing {spacing:.4g} exceeds bandwidth {h:.4g}", field="analysis.kde_nodes"
         )
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    f0 = _density_on_grid(mesh, c0, h)
-    f1 = _density_on_grid(mesh, c1, h)
+    grid_shape = tuple(len(ax) for ax in axes)
+    f0 = _density_on_grid(axes, c0, h)
+    f1 = _density_on_grid(axes, c1, h)
     delta = f1 - f0
     scale = max(float(f0.max()), float(f1.max()), 1e-300)
     degenerate = float(np.max(np.abs(delta))) <= 1e-6 * scale
-    m0 = mesh[int(np.argmax(-delta))]
-    m1 = mesh[int(np.argmax(delta))]
+
+    def node(flat):
+        return np.array([ax[i] for ax, i in zip(axes, np.unravel_index(flat, grid_shape))])
+
+    m0, m1 = node(int(np.argmax(-delta))), node(int(np.argmax(delta)))
     return KdeModel(
-        h=h, axes=axes, f0=f0, f1=f1, delta=delta,
-        grid_shape=tuple(len(ax) for ax in axes),
+        h=h, axes=axes, f0=f0, f1=f1, delta=delta, grid_shape=grid_shape,
         m_class0=m0, m_class1=m1, degenerate=degenerate,
     )
 

@@ -265,8 +265,10 @@ def config_schema():
 
 
 def load_config(path=None, seed=None):
+    """Read and validate a config file (defaults when `path` is None); a
+    seed override changes no bounded field, so it needs no second check."""
     if path is None:
-        cfg = ExperimentConfig()
+        cfg = config_from_dict({})
     else:
         try:
             with open(path) as fh:
@@ -278,7 +280,7 @@ def load_config(path=None, seed=None):
         cfg = config_from_dict(doc)
     if seed is not None:
         cfg.seed = int(seed)
-    return validate_config(cfg)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -96,18 +96,26 @@ def _weights(dist, kernel, sigma):
     return w / w.sum(axis=1, keepdims=True)
 
 
-def lift_many(table, queries, k=None, return_weights=False):
-    """Vectorized lift of a query batch; returns (q, D) latents."""
+def _lifts(table, queries, ks):
+    """Yield (latents, weights, neighbours) of a query batch for each
+    neighbour count in `ks`, from one stable sort of its distances."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(queries)):
         raise InputError("query contains non-finite entries")
-    k = table.k if k is None else int(np.clip(k, 1, table.c_ref.shape[0]))
     dist = _distances(table, queries)
-    # Stable sort keeps ties deterministic (lowest reference index wins).
-    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    ndist = np.take_along_axis(dist, nbr, axis=1)
-    w = _weights(ndist, table.kernel, table.sigma)
-    lifted = np.einsum("qk,qkd->qd", w, table.z_ref[nbr])
+    # Stable sort keeps ties deterministic (lowest reference index wins), and
+    # its first k columns are the k nearest, in order, for every k.
+    order = np.argsort(dist, axis=1, kind="stable")
+    for k in ks:
+        nbr = order[:, :k]
+        w = _weights(np.take_along_axis(dist, nbr, axis=1), table.kernel, table.sigma)
+        yield np.einsum("qk,qkd->qd", w, table.z_ref[nbr]), w, nbr
+
+
+def lift_many(table, queries, k=None, return_weights=False):
+    """Vectorized lift of a query batch; returns (q, D) latents."""
+    k = table.k if k is None else int(np.clip(k, 1, table.c_ref.shape[0]))
+    lifted, w, nbr = next(_lifts(table, queries, [k]))
     if return_weights:
         return lifted, w, nbr
     return lifted
@@ -133,9 +141,11 @@ def select_k(table, k_grid, heldout_embeddings, heldout_latents):
     hz = np.atleast_2d(np.asarray(heldout_latents, dtype=np.float64))
     if hc.shape[0] == 0 or hc.shape[0] != hz.shape[0]:
         raise InputError("held-out pairs must be nonempty and aligned")
+    grid = sorted(set(int(k) for k in k_grid))
+    lifts = _lifts(table, hc, np.clip(grid, 1, table.c_ref.shape[0]))
     best_k, best_err = None, np.inf
-    for k in sorted(set(int(k) for k in k_grid)):
-        err = rmse(lift_many(table, hc, k=k), hz)
+    for k, (lifted, _, _) in zip(grid, lifts):
+        err = rmse(lifted, hz)
         if err < best_err:
             best_k, best_err = k, err
     return best_k

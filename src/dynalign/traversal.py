@@ -197,7 +197,8 @@ class RecurrentPredictor:
     def _cell(self, x, h):
         p = self.params
         cat_f = np.concatenate([x, h], axis=1)
-        f = 1.0 / (1.0 + np.exp(-(cat_f @ p["wf"] + p["bf"])))
+        with np.errstate(over="ignore"):    # exp(-z) = inf is the exact gate 0
+            f = 1.0 / (1.0 + np.exp(-(cat_f @ p["wf"] + p["bf"])))
         cat_h = np.concatenate([x, f * h], axis=1)
         g = np.tanh(cat_h @ p["wh"] + p["bh"])
         h_new = (1.0 - f) * h + f * g

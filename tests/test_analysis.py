@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dynalign.analysis import (
-    SvmConfig, fit_pca, kde_fit, kde_traverse, orthogonality_probe, pca_project,
-    roc_auc, svm_decision, svm_score, train_svm,
+    SvmConfig, _density_on_grid, fit_pca, kde_fit, kde_traverse, orthogonality_probe,
+    pca_project, roc_auc, svm_decision, svm_score, train_svm,
 )
 from dynalign.errors import ConfigError, InputError
 from dynalign.numcore import Rng
@@ -17,6 +19,20 @@ def pca_round_trip(model, data):
 def grid_mass(model, density):
     """Grid-quadrature mass of a density on the KDE model's grid."""
     return float(np.sum(density) * np.prod([ax[1] - ax[0] for ax in model.axes]))
+
+
+def broadcast_density(mesh, samples, h, max_samples=512):
+    """Gaussian KDE at each mesh row from the full (rows, n, d) difference,
+    in row blocks: the direct form the per-axis factors must reproduce."""
+    if samples.shape[0] > max_samples:
+        samples = samples[:: int(np.ceil(samples.shape[0] / max_samples))]
+    n, d = samples.shape
+    out = np.empty(mesh.shape[0])
+    for start in range(0, mesh.shape[0], 2048):
+        block = mesh[start : start + 2048]
+        d2 = np.sum((block[:, None, :] - samples[None, :, :]) ** 2, axis=2)
+        out[start : start + 2048] = np.exp(-d2 / (2.0 * h * h)).sum(axis=1)
+    return out / (n * (h**d) * (2.0 * np.pi) ** (d / 2.0))
 
 
 def power_iteration_pca(data, d, iters=5000):
@@ -203,6 +219,37 @@ class TestKde:
     def test_dimension_cap(self):
         with pytest.raises(ConfigError, match="analysis.kde_d"):
             kde_fit(np.zeros((5, 4)), np.ones((5, 4)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_per_axis_factors_match_broadcast_density(self, d):
+        # More than 512 samples per class (the stride subsample) and an
+        # automatic grid; the peaks are the grid nodes of the delta argmax.
+        rng = Rng(10 + d)
+        a = rng.stream("a").normal((700, d))
+        b = 1.0 + 0.7 * rng.stream("b").normal((1100, d))
+        model = kde_fit(a, b)
+        mesh = np.stack([m.ravel() for m in np.meshgrid(*model.axes, indexing="ij")], axis=1)
+        assert mesh.shape[0] == model.f0.size
+        np.testing.assert_allclose(model.f0, broadcast_density(mesh, a, model.h), rtol=1e-12)
+        np.testing.assert_allclose(model.f1, broadcast_density(mesh, b, model.h), rtol=1e-12)
+        np.testing.assert_allclose(_density_on_grid(model.axes, a[:40], model.h),
+                                   broadcast_density(mesh, a[:40], model.h), rtol=1e-12)
+        assert np.array_equal(model.m_class0, mesh[np.argmax(-model.delta)])
+        assert np.array_equal(model.m_class1, mesh[np.argmax(model.delta)])
+
+    def test_grid_density_memory_is_bounded(self):
+        # The broadcast form held a 96 MB (rows, n, d) block here.
+        rng = Rng(0)
+        a = rng.stream("a").normal((480, 3))
+        b = 1.0 + rng.stream("b").normal((480, 3))
+        tracemalloc.start()
+        try:
+            model = kde_fit(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.grid_shape == (33, 33, 33)
+        assert peak < 16 * 2**20
 
 
 class TestKdeTraverse:

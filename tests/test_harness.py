@@ -38,6 +38,8 @@ TINY_OUTPUT_DIGESTS = {
     "probe-orthogonality": "a5b6bd63da4eaab8ab53559ff25da9809708784626fb9dfd590a3098b3ecf4c7",
     "sweep-dim": "247c06917367e02d5293daa9f3b1a0cdceee822c80a501dd384a58e1b6c3bc46",
 }
+# CLI children fail on a numpy floating-point warning, as the tests do.
+CLI_ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
 COMMANDS = {
     "pipeline": harness.cmd_pipeline,
     "classify": harness.cmd_classify,
@@ -96,6 +98,16 @@ class TestConfig:
         schema = harness.config_schema()
         assert schema["defaults"]["diffusion"]["T"] == 1000
         assert "dataset" in schema["defaults"]
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_load_config_validates_once(self, tmp_path, monkeypatch, from_file):
+        calls = []
+        check = harness.validate_config
+        monkeypatch.setattr(harness, "validate_config", lambda cfg: calls.append(cfg) or check(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY))
+        cfg = harness.load_config(str(path) if from_file else None, seed=9)
+        assert cfg.seed == 9 and len(calls) == 1
 
 
 class TestCsvAndPgm:
@@ -268,7 +280,7 @@ class TestCli:
     def test_config_schema_command(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "config-schema"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
@@ -280,7 +292,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "simulate", "--config", str(bad),
              "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 2
         assert "mu_range" in proc.stderr
@@ -344,7 +356,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "simulate", "--config", str(bad),
              "--out", str(tmp_path / "runs")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 2
         assert field in proc.stderr
@@ -357,7 +369,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
              "--out", str(tmp_path / "runs")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 3
         # One line: the exit-3 message, with no numpy overflow warning before it.
@@ -374,7 +386,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "classify", "--config", str(cfgfile),
              "--out", str(tmp_path / "runs")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 2
         assert "no fold's training set holds both classes" in proc.stderr
@@ -386,7 +398,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "simulate", "--config", str(cfgfile),
              "--out", str(tmp_path / "runs")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0
         assert "manifest" in proc.stdout
@@ -397,13 +409,21 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
              "--out", str(tmp_path / "runs"), "--seed", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0
         csv_line = [l for l in proc.stdout.splitlines() if l.startswith("csv:")]
         assert csv_line
         path = csv_line[0].split("csv: ")[1]
         assert open(path).readline().startswith("dataset,space,method")
+
+
+def test_saturated_recurrent_gate_runs_clean(tmp_path):
+    # A far too large encoder step saturates the MGU forget gate of the C
+    # baseline: exp(-z) overflows to inf, the exact gate 0, with no warning
+    # (pytest turns a RuntimeWarning into an error).
+    res = harness.cmd_pipeline(tiny_config(embedding={"lr": 1e6}), str(tmp_path))
+    assert res["rows"]
 
 
 def test_single_fold_equals_plain_split_eval(tmp_path):

@@ -3,8 +3,10 @@ import pytest
 
 from dynalign.errors import InputError
 from dynalign.lifting import (
-    LiftingConfig, build_table, lift, lift_many, load_table, save_table, select_k,
+    LiftingConfig, _distances, _weights, build_table, lift, lift_many, load_table,
+    save_table, select_k,
 )
+from dynalign.metrics import rmse
 from dynalign.numcore import Rng
 
 
@@ -114,6 +116,47 @@ class TestLift:
         # Query along +x: cosine distance 0 to both x-aligned references.
         out = lift(table, np.array([3.0, 0.0]))
         assert np.allclose(out, [2.0])
+
+
+def fresh_sort_lift(table, queries, k):
+    """Lift with a stable sort of its own for this k alone."""
+    dist = _distances(table, queries)
+    nbr = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    w = _weights(np.take_along_axis(dist, nbr, axis=1), table.kernel, table.sigma)
+    return np.einsum("qk,qkd->qd", w, table.z_ref[nbr]), w, nbr
+
+
+def tied_table(kernel, metric):
+    """Reference rows in duplicated pairs, so neighbour distances tie."""
+    rng = Rng(11)
+    c = rng.stream("c").normal((15, 3))
+    c = np.concatenate([c, c[::-1]])
+    z = rng.stream("z").normal((30, 4))
+    table = build_table(c, z, LiftingConfig(kernel=kernel, metric=metric), k=4)
+    return table, rng.stream("q").normal((12, 3)), rng.stream("qz").normal((12, 4))
+
+
+class TestSortOnce:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("kernel", ["uniform", "inverse", "gaussian"])
+    def test_lift_many_equals_a_fresh_sort_per_k(self, kernel, metric):
+        table, q, _ = tied_table(kernel, metric)
+        for k in (1, 2, 3, 5, 8, 30, 40):
+            want = fresh_sort_lift(table, q, min(k, 30))
+            got = lift_many(table, q, k=k, return_weights=True)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(lift_many(table, q), fresh_sort_lift(table, q, 4)[0])
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("kernel", ["uniform", "inverse", "gaussian"])
+    def test_select_k_equals_a_fresh_sort_per_k(self, kernel, metric):
+        table, q, qz = tied_table(kernel, metric)
+        # Held-out latents near the references' so that k matters.
+        qz = 0.5 * qz + 0.5 * fresh_sort_lift(table, q, 3)[0]
+        for grid in ([1, 2, 3, 5, 8, 12], [12, 3, 3, 40, 1], [30, 45]):
+            errs = {k: rmse(fresh_sort_lift(table, q, min(k, 30))[0], qz) for k in grid}
+            best = min(sorted(errs), key=lambda k: errs[k])
+            assert select_k(table, grid, q, qz) == best
 
 
 class TestSelectK:
