@@ -170,7 +170,7 @@ def invert_step(z, eps, t_lo, t_hi, sched):
     return np.sqrt(a_hi) * (z - np.sqrt(1.0 - a_lo) * eps) / root + np.sqrt(1.0 - a_hi) * eps
 
 
-def ddim_sample(model, z, sched, steps, cond=None):
+def ddim_sample(model, z, sched, steps, cond):
     """Run the DDIM recursion from the top noise level down to a state;
     `z` has shape (D,) or (n, D), `cond` one row per state or one shared."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64)).copy()

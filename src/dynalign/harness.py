@@ -8,6 +8,7 @@ that stage depends on, so reruns and sweeps skip completed work unless
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, get_args, get_type_hints
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -100,16 +101,6 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
 
-_SECTIONS = {
-    "dataset": DatasetConfig,
-    "diffusion": DiffusionConfig,
-    "embedding": EmbeddingConfig,
-    "traversal": TraversalConfig,
-    "lifting": LiftingConfig,
-    "analysis": AnalysisConfig,
-}
-
-
 def _is_a(value, kind):
     """JSON type check: a bool is not a number, and an int is a float."""
     if isinstance(value, bool) and kind is not bool:
@@ -117,11 +108,14 @@ def _is_a(value, kind):
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _typed(obj, name, value, path):
-    """`value` for field `name` of config dataclass `obj`, checked against
-    the field's type: its default's type, X for an Optional[X] default of
-    None, and a JSON list of the default's element type for a tuple."""
-    default = getattr(obj, name)
+def _typed(f, value, path):
+    """`value` for config dataclass field `f`, checked against the field's
+    type: a section (a config dataclass) is built from it by recursion; else
+    the default's type, X for an Optional[X] default of None, and a JSON
+    list of the default's element type for a tuple."""
+    if dataclasses.is_dataclass(f.type):
+        return _from_dict(f.type, value, path)
+    default = f.default
     if isinstance(default, tuple):
         kind = type(default[0])
         if isinstance(value, list) and all(_is_a(v, kind) for v in value):
@@ -129,34 +123,31 @@ def _typed(obj, name, value, path):
         expected = f"a list of {kind.__name__}"
     else:
         optional = default is None
-        kind = get_args(get_type_hints(type(obj))[name])[0] if optional else type(default)
+        kind = get_args(f.type)[0] if optional else type(default)
         if (optional and value is None) or _is_a(value, kind):
             return value
         expected = kind.__name__ + (" or null" if optional else "")
     raise ConfigError(f"expected {expected}, got {value!r}", field=path)
 
 
-def config_from_dict(doc):
-    """Build an ExperimentConfig, rejecting unknown or wrongly typed fields
-    with their path."""
+def _from_dict(cls, doc, path=""):
+    """Config dataclass `cls` from the fields of JSON object `doc`; unknown
+    or wrongly typed fields are rejected with their path."""
     if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a JSON object")
-    cfg = ExperimentConfig()
-    for key, value in doc.items():
-        if key in ("seed", "render_grid"):
-            setattr(cfg, key, _typed(cfg, key, value, key))
-        elif key in _SECTIONS:
-            section = getattr(cfg, key)
-            if not isinstance(value, dict):
-                raise ConfigError("section must be a JSON object", field=key)
-            for name, item in value.items():
-                if not hasattr(section, name):
-                    raise ConfigError("unknown field", field=f"{key}.{name}")
-                setattr(section, name, _typed(section, name, item, f"{key}.{name}"))
-        else:
-            raise ConfigError("unknown field", field=key)
-    validate_config(cfg)
-    return cfg
+        raise ConfigError("must be a JSON object", field=path or "configuration document")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
+    for name, value in doc.items():
+        where = f"{path}.{name}" if path else name
+        if name not in fields:
+            raise ConfigError("unknown field", field=where)
+        values[name] = _typed(fields[name], value, where)
+    return cls(**values)
+
+
+def config_from_dict(doc):
+    """Build and validate an ExperimentConfig from a JSON document."""
+    return validate_config(_from_dict(ExperimentConfig, doc))
 
 
 # One bound per field, as (test, bound): ">" / ">=" a least value, "<" a
@@ -170,6 +161,7 @@ _BOUNDS = {
     "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
     "diffusion.T": (">=", 2), "diffusion.steps": (">=", 1), "diffusion.batch": (">=", 1),
     "diffusion.beta_start": (">", 0), "diffusion.beta_end": ("<", 1),
+    "diffusion.condition_on": ("in", (("tau",), ("tau", "mu"))),
     "embedding.d": (">=", 1), "embedding.tau": (">", 0),
     "embedding.traj_per_batch": (">=", 1), "embedding.window": (">=", 2),
     "traversal.lam": (">=", 0),
@@ -198,8 +190,9 @@ def validate_config(cfg):
         holds, words = _COMPARE[test]
         if value is not None and not holds(value, bound):
             raise ConfigError(f"must be {words} {bound}", field=path)
-    if not cfg.lifting.k_grid:
-        raise ConfigError("must be non-empty", field="lifting.k_grid")
+    if not cfg.lifting.k_grid or min(cfg.lifting.k_grid) < 1:
+        raise ConfigError("must be a non-empty list of counts of at least 1",
+                          field="lifting.k_grid")
     # The encoder needs 2 training trajectories, one of them outside its
     # validation split; the lifting table one outside its holdout.
     n_train = d.n_traj - split_count(d.n_traj, d.test_fraction)
@@ -221,25 +214,12 @@ def validate_config(cfg):
         raise ConfigError("steps cannot exceed T", field="diffusion.steps")
     if dc.beta_start > dc.beta_end:
         raise ConfigError("cannot exceed beta_end", field="diffusion.beta_start")
-    if tuple(dc.condition_on) not in (("tau",), ("tau", "mu")):
-        raise ConfigError("must be ['tau'] or ['tau', 'mu']",
-                          field="diffusion.condition_on")
     return cfg
 
 
 def config_to_dict(cfg):
-    out = dataclasses.asdict(cfg)
-
-    def fix(v):
-        if isinstance(v, tuple):
-            return [fix(x) for x in v]
-        if isinstance(v, list):
-            return [fix(x) for x in v]
-        if isinstance(v, dict):
-            return {k: fix(x) for k, x in v.items()}
-        return v
-
-    return fix(out)
+    """The config as a JSON document (tuples become lists)."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def canonical_config_text(cfg):
@@ -329,15 +309,21 @@ class Workspace:
     def path(self, stage, key, ext="bin"):
         return os.path.join(self.cache, f"{stage}-{key}.{ext}")
 
+    @contextlib.contextmanager
+    def timed(self, name):
+        """Add the wall seconds of the block to timings[name]."""
+        start = time.perf_counter()
+        yield
+        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+
     def stage(self, name, key, writer, reader):
         """Run or reuse one cached stage; returns the loaded artifact. Its
         seconds (write and read on a miss, read on a hit) go to timings."""
         path = self.path(name, key)
-        start = time.perf_counter()
-        if self.force or not os.path.exists(path):
-            writer(path)
-        artifact = reader(path)
-        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+        with self.timed(name):
+            if self.force or not os.path.exists(path):
+                writer(path)
+            artifact = reader(path)
         self.artifacts.append(path)
         return artifact
 
@@ -537,27 +523,15 @@ def hstack_images(images, pad=1):
 
 
 def _space_vectors(cfg, ds, z_all, c_all):
-    """name -> dict(vectors (n_traj, S, dim), renderable); PCA keeps as many
-    components as the embedding has dimensions."""
-    spaces = {"Z": {"vectors": z_all, "renderable": True},
-              "C": {"vectors": c_all, "renderable": True}}
+    """name -> (n_traj, S, dim) vectors; PCA keeps as many components as the
+    embedding has dimensions."""
+    spaces = {"Z": z_all, "C": c_all}
     if cfg.traversal.include_pca:
+        n_traj, S, D = z_all.shape
         d = c_all.shape[-1]
         pca = analysis.fit_pca(_frames(z_all, ds.indices("train")), d)
-        n_traj, S, D = z_all.shape
-        proj = analysis.pca_project(pca, z_all.reshape(-1, D))
-        spaces["PCA"] = {
-            "vectors": proj.reshape(n_traj, S, d),
-            "renderable": False,
-        }
+        spaces["PCA"] = analysis.pca_project(pca, z_all.reshape(-1, D)).reshape(n_traj, S, d)
     return spaces
-
-
-def _method_list(space, tcfg):
-    methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"]
-    if space != "Z" or tcfg.spline_in_z:
-        methods.append("spline")
-    return methods
 
 
 def _target_frames(tcfg, S):
@@ -607,26 +581,26 @@ def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
 
 def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
     """Fit and score every traversal operator in every space; `c_all` holds
-    the embedded frames, (n_traj, S, d)."""
+    the embedded frames, (n_traj, S, d). Z and C predictions are rendered
+    (C's lifted to Z first) and scored against the true frames."""
     tcfg = cfg.traversal
-    spaces = _space_vectors(cfg, ds, z_all, c_all)
     test_idx = ds.indices("test")
     train_idx = ds.indices("train")
     kf, targets = _target_frames(tcfg, z_all.shape[1])
+    n_pred = len(test_idx) * len(targets)
     n_render = min(tcfg.render_targets_per_traj, len(targets))
-    render_targets = targets[:: max(1, len(targets) // n_render)][:n_render]
-
+    at = np.arange(n_render) * max(1, len(targets) // n_render)
+    # Rendered frames are trajectory-major: (test trajectory, target) rows.
+    render_frames = np.array(targets)[at]
+    true_imgs = [dynsim.render(ds.xs[ti, s], cfg.render_grid, ds.mapping)
+                 for ti in test_idx for s in render_frames]
+    conds = diffusion.condition_columns(ds.taus[np.ix_(test_idx, render_frames)].ravel(),
+                                        np.repeat(ds.mus[test_idx], n_render),
+                                        model.cond_components)
     rows = []
-    strips = {}
-    grid = cfg.render_grid
+    strips = {"truth": hstack_images(true_imgs[:n_render])}
 
-    true_imgs = {}
-    for ti in test_idx:
-        for s_star in render_targets:
-            true_imgs[(ti, s_star)] = dynsim.render(ds.xs[ti, s_star], grid, ds.mapping)
-
-    for space, info in spaces.items():
-        vecs_all = info["vectors"]
+    for space, vecs_all in _space_vectors(cfg, ds, z_all, c_all).items():
         train_vecs = _frames(vecs_all, train_idx)
         center = train_vecs.mean(axis=0)
         scale = float(np.sqrt(np.mean((train_vecs - center) ** 2)))
@@ -641,43 +615,31 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
             seed_rng.stream(f"recurrent-{space}-train"), lr=tcfg.recurrent_lr,
         )
 
-        for method in _method_list(space, tcfg):
-            pred_trajs, render_preds = [], {}
-            for ti in test_idx:
-                pred = np.stack([_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, rec, kf)
-                                 for s in targets])
-                pred_trajs.append(pred)
-                render_preds.update({(ti, s): pred[targets.index(s)] for s in render_targets})
-            truth_trajs = [vecs_all[ti][targets] for ti in test_idx]
-            preds = np.concatenate(pred_trajs)
-            err = metrics.rmse(preds, np.concatenate(truth_trajs))
-            rows.append(row(cfg, space, method, "rmse", err, preds.shape[0]))
-            rows.append(row(cfg, space, method, "rmse_norm", err / scale, preds.shape[0]))
-            _, tae, tae_std = metrics.total_abs_error(pred_trajs, truth_trajs)
-            rows.append(row(cfg, space, method, "tae", tae, len(pred_trajs), tae_std))
-
-            if info["renderable"]:
-                keys = sorted(render_preds)
-                key_traj, key_frame = np.array(keys).T
-                cs = np.stack([render_preds[k] for k in keys])
-                if space == "Z":
-                    z_hat = cs
-                else:
-                    z_hat = lifting.lift_many(table, cs)
-                conds = diffusion.condition_columns(
-                    ds.taus[key_traj, key_frame], ds.mus[key_traj], model.cond_components)
-                x_hat = diffusion.ddim_sample(model, z_hat, sched,
-                                              cfg.diffusion.steps, cond=conds)
-                imgs = [dynsim.render(x, grid, ds.mapping) for x in np.atleast_2d(x_hat)]
-                ps = [metrics.psnr(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
-                ss = [metrics.ssim(img, true_imgs[k], 1.0) for img, k in zip(imgs, keys)]
-                for metric, vals in (("psnr", ps), ("ssim", ss)):
-                    rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
-                                    len(vals), float(np.std(vals))))
-                first = test_idx[0]
-                strip = [imgs[i] for i, k in enumerate(keys) if k[0] == first]
-                if strip:
-                    strips[f"{space}-{method}"] = hstack_images(strip)
+        methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"]
+        if space != "Z" or tcfg.spline_in_z:
+            methods.append("spline")
+        truth = vecs_all[test_idx][:, targets]
+        for method in methods:
+            # (n_test, n_targets, dim), like truth
+            pred = np.array([[_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, rec, kf)
+                              for s in targets] for ti in test_idx])
+            err = metrics.rmse(pred, truth)
+            rows.append(row(cfg, space, method, "rmse", err, n_pred))
+            rows.append(row(cfg, space, method, "rmse_norm", err / scale, n_pred))
+            _, tae, tae_std = metrics.total_abs_error(pred, truth)
+            rows.append(row(cfg, space, method, "tae", tae, len(test_idx), tae_std))
+            if space == "PCA":
+                continue
+            z_hat = pred[:, at].reshape(-1, pred.shape[2])
+            if space == "C":
+                z_hat = lifting.lift_many(table, z_hat)
+            x_hat = diffusion.ddim_sample(model, z_hat, sched, cfg.diffusion.steps, cond=conds)
+            imgs = [dynsim.render(x, cfg.render_grid, ds.mapping) for x in x_hat]
+            for metric, score in (("psnr", metrics.psnr), ("ssim", metrics.ssim)):
+                vals = [score(img, true, 1.0) for img, true in zip(imgs, true_imgs)]
+                rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
+                                len(vals), float(np.std(vals))))
+            strips[f"{space}-{method}"] = hstack_images(imgs[:n_render])
 
         # Geometric alignment: per test trajectory, the best planar view of
         # the space's curve against the true latent cycle.
@@ -689,11 +651,6 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
         disparities = np.array(disparities)
         rows.append(row(cfg, space, "alignment", "procrustes", float(disparities.mean()),
                         disparities.size, float(disparities.std())))
-
-    first = test_idx[0]
-    strips["truth"] = hstack_images(
-        [true_imgs[(first, s)] for s in render_targets]
-    )
     return rows, strips
 
 
@@ -732,11 +689,10 @@ def cmd_pipeline(cfg, out_dir, force=False):
     ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
     c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all)
-    t0 = time.perf_counter()
-    rows, strips = evaluate_traversal(
-        cfg, ds, model, sched, z_all, c_all, table, Rng(cfg.seed).stream("traversal")
-    )
-    ws.timings["evaluate"] = time.perf_counter() - t0
+    with ws.timed("evaluate"):
+        rows, strips = evaluate_traversal(
+            cfg, ds, model, sched, z_all, c_all, table, Rng(cfg.seed).stream("traversal")
+        )
     summary = {
         f"{r['space']}/{r['method']}/{r['metric']}": r["value"]
         for r in rows
@@ -817,11 +773,10 @@ def cmd_classify(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     emb = dataclasses.replace(cfg.embedding, class_match=True)
     ds, _, _, z_all, encoder = _upstream(ws, emb, "encoder-classify")
-    t0 = time.perf_counter()
-    rows, results = classification_metrics(
-        cfg, ds, z_all, encoder, Rng(cfg.seed).stream("classify")
-    )
-    ws.timings["classify"] = time.perf_counter() - t0
+    with ws.timed("classify"):
+        rows, results = classification_metrics(
+            cfg, ds, z_all, encoder, Rng(cfg.seed).stream("classify")
+        )
     summary = {f"{s}/{k}": v for (s, k), v in results.items()}
     return _finish(ws, "classify", "classification.csv", rows, summary, results=results)
 
@@ -838,43 +793,44 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
     c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
 
-    train = np.array(ds.indices("train"))
-    labels = ds.labels[train]
-    class0 = _frames(c_all, train[labels == 0])
-    class1 = _frames(c_all, train[labels == 1])
-    cap = cfg.analysis.kde_frames_per_class
-    class0 = class0[:: max(1, class0.shape[0] // cap)]
-    class1 = class1[:: max(1, class1.shape[0] // cap)]
+    with ws.timed("kde"):
+        train = np.array(ds.indices("train"))
+        labels = ds.labels[train]
+        class0 = _frames(c_all, train[labels == 0])
+        class1 = _frames(c_all, train[labels == 1])
+        cap = cfg.analysis.kde_frames_per_class
+        class0 = class0[:: max(1, class0.shape[0] // cap)]
+        class1 = class1[:: max(1, class1.shape[0] // cap)]
 
-    kde = analysis.kde_fit(class0, class1, h=cfg.analysis.kde_bandwidth,
-                           nodes=cfg.analysis.kde_nodes)
-    if kde.degenerate:
-        raise NumericError("class-conditional densities are indistinguishable; "
-                           "no traversal direction exists")
+        kde = analysis.kde_fit(class0, class1, h=cfg.analysis.kde_bandwidth,
+                               nodes=cfg.analysis.kde_nodes)
+        if kde.degenerate:
+            raise NumericError("class-conditional densities are indistinguishable; "
+                               "no traversal direction exists")
 
-    train_flat = ds.stack("train")
-    c_flat = embed_frames(encoder, ds, z_all, "train")
+        train_flat = ds.stack("train")
+        c_flat = _frames(c_all, train)
 
-    def peak_condition(point):
-        # Mean (tau, mu) of the frames whose embeddings sit nearest the peak.
-        near = np.argsort(np.linalg.norm(c_flat - point, axis=1), kind="stable")[:16]
-        return float(np.mean(train_flat["tau"][near])), float(np.mean(train_flat["mu"][near]))
+        def peak_condition(point):
+            # Mean (tau, mu) of the frames whose embeddings sit nearest the peak.
+            near = np.argsort(np.linalg.norm(c_flat - point, axis=1), kind="stable")[:16]
+            return float(np.mean(train_flat["tau"][near])), float(np.mean(train_flat["mu"][near]))
 
-    tau0, mu0 = peak_condition(kde.m_class0)
-    tau1, mu1 = peak_condition(kde.m_class1)
+        tau0, mu0 = peak_condition(kde.m_class0)
+        tau1, mu1 = peak_condition(kde.m_class1)
 
-    frames = []
-    for eta in eta_list:
-        c_eta = analysis.kde_traverse(kde, float(eta))
-        z_eta = lifting.lift(table, c_eta)
-        cond = diffusion.condition_columns(
-            np.array([(1.0 - eta) * tau0 + eta * tau1]),
-            np.array([(1.0 - eta) * mu0 + eta * mu1]),
-            model.cond_components,
-        )
-        x_hat = diffusion.ddim_sample(model, z_eta[None, :], sched,
-                                      cfg.diffusion.steps, cond=cond)
-        frames.append(dynsim.render(x_hat[0], cfg.render_grid, ds.mapping))
+        frames = []
+        for eta in eta_list:
+            c_eta = analysis.kde_traverse(kde, float(eta))
+            z_eta = lifting.lift(table, c_eta)
+            cond = diffusion.condition_columns(
+                np.array([(1.0 - eta) * tau0 + eta * tau1]),
+                np.array([(1.0 - eta) * mu0 + eta * mu1]),
+                model.cond_components,
+            )
+            x_hat = diffusion.ddim_sample(model, z_eta[None, :], sched,
+                                          cfg.diffusion.steps, cond=cond)
+            frames.append(dynsim.render(x_hat[0], cfg.render_grid, ds.mapping))
     diffs = [frame - frames[0] for frame in frames]
     rows = [row(cfg, "C", f"kde@{float(eta):g}", "diff_l1", float(np.abs(diff).sum()),
                 diff.size)
@@ -931,7 +887,8 @@ def probe_embedding_config(cfg):
 def cmd_probe_orthogonality(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     ds, _, _, z_all, encoder = _upstream(ws, probe_embedding_config(cfg), "encoder-probe")
-    values = orthogonality_values(cfg, ds, z_all, encoder)
+    with ws.timed("probe"):
+        values = orthogonality_values(cfg, ds, z_all, encoder)
     n = len(ds.indices("test")) * z_all.shape[1]
     rows = [row(cfg, space, "ols-probe", "regression_cosine", v, n)
             for space, v in values.items()]

@@ -132,8 +132,9 @@ def lift(table, c_query, k=None):
 def select_k(table, k_grid, heldout_embeddings, heldout_latents):
     """Pick the neighbor count minimizing held-out latent RMSE.
 
-    Ties break toward the smaller count; the grid is scanned in ascending
-    order with strict improvement required.
+    Grid entries are clipped to [1, reference count], and the clipped count
+    is returned. Ties break toward the smaller count; the grid is scanned in
+    ascending order with strict improvement required.
     """
     if len(k_grid) == 0:
         raise InputError("empty neighbor-count grid")
@@ -141,10 +142,9 @@ def select_k(table, k_grid, heldout_embeddings, heldout_latents):
     hz = np.atleast_2d(np.asarray(heldout_latents, dtype=np.float64))
     if hc.shape[0] == 0 or hc.shape[0] != hz.shape[0]:
         raise InputError("held-out pairs must be nonempty and aligned")
-    grid = sorted(set(int(k) for k in k_grid))
-    lifts = _lifts(table, hc, np.clip(grid, 1, table.c_ref.shape[0]))
+    grid = sorted({int(k) for k in np.clip(k_grid, 1, table.c_ref.shape[0])})
     best_k, best_err = None, np.inf
-    for k, (lifted, _, _) in zip(grid, lifts):
+    for k, (lifted, _, _) in zip(grid, _lifts(table, hc, grid)):
         err = rmse(lifted, hz)
         if err < best_err:
             best_k, best_err = k, err

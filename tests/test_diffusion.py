@@ -137,6 +137,14 @@ class TestDdimAlgebra:
         b = ddim_sample(model, z, sched, 10, cond=cond)
         assert np.array_equal(a, b)
 
+    def test_sampling_requires_a_condition(self):
+        # Read as a condition, None is a 1x1 NaN row that a one-component
+        # denoiser broadcasts over the batch, sampling NaN; so it is required.
+        sched = make_schedule(40)
+        model = DenoiserModel(4, 40, hidden=(8,), rng=Rng(0).stream("m"), cond_components=1)
+        with pytest.raises(TypeError):
+            ddim_sample(model, Rng(1).normal((2, 4)), sched, 10)
+
     def test_strided_steps_layout(self):
         assert strided_steps(1000, 100)[:3] == [1000, 990, 980]
         assert strided_steps(1000, 100)[-1] == 10

@@ -99,6 +99,14 @@ class TestConfig:
         assert schema["defaults"]["diffusion"]["T"] == 1000
         assert "dataset" in schema["defaults"]
 
+    def test_default_hash_and_schema_are_pinned(self):
+        # Cached stages and run directories are keyed on this text, so a
+        # codec change that moves it orphans every existing cache.
+        assert harness.config_hash(harness.ExperimentConfig()) == "746cbd775a99"
+        text = json.dumps(harness.config_schema(), indent=2, sort_keys=True)
+        schema_digest = "a792cf905f6ad0c2c9e096d3b5cf52e2fe5ddbcda0256eff0f5c6c42732c12d5"
+        assert hashlib.sha256(text.encode()).hexdigest() == schema_digest
+
     @pytest.mark.parametrize("from_file", [False, True])
     def test_load_config_validates_once(self, tmp_path, monkeypatch, from_file):
         calls = []
@@ -215,6 +223,15 @@ class TestPipelineSmall:
         assert open(ds_path, "rb").read() == before
 
 
+def test_spline_in_z_without_pca(tmp_path):
+    res = harness.cmd_pipeline(
+        tiny_config(traversal={"spline_in_z": True, "include_pca": False}), str(tmp_path))
+    z_spline = {r["metric"] for r in res["rows"] if (r["space"], r["method"]) == ("Z", "spline")}
+    assert {"rmse", "psnr", "ssim"} <= z_spline
+    assert os.path.exists(os.path.join(res["run_dir"], "strips", "Z-spline.pgm"))
+    assert not any(r["space"] == "PCA" for r in res["rows"])
+
+
 class TestSweepAndErrors:
     def test_empty_dim_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -259,6 +276,13 @@ class TestStageChain:
         res = COMMANDS[command](tiny_config(embedding={"use_condition": True}),
                                 str(tmp_path))
         assert res["rows"] and all(np.isfinite(r["value"]) for r in res["rows"])
+
+    @pytest.mark.parametrize("command,name", [
+        ("pipeline", "evaluate"), ("classify", "classify"), ("kde-edit", "kde"),
+        ("probe-orthogonality", "probe")])
+    def test_manifest_times_the_work_after_the_stages(self, tmp_path, command, name):
+        res = COMMANDS[command](tiny_config(), str(tmp_path))
+        assert name in json.load(open(res["manifest"]))["stage_seconds"]
 
     def test_kde_table_follows_kde_dimension(self, tmp_path):
         harness.cmd_kde_edit(tiny_config(), str(tmp_path))
@@ -351,6 +375,20 @@ class TestCli:
          "lifting.holdout_fraction"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
+        self._assert_rejected(tmp_path, doc, field)
+
+    @pytest.mark.parametrize("doc,field", [
+        # A dunder name is no field, and a section is an object.
+        ({"dataset": {"n_traj": 50, "__dict__": {}}}, "dataset.__dict__"),
+        ({"embedding": {"__module__": "x"}}, "embedding.__module__"),
+        ({"dataset": 5}, "dataset"),
+        ({"lifting": {"k_grid": [3, 0]}}, "lifting.k_grid"),
+    ])
+    def test_unknown_name_or_malformed_section_exits_2(self, tmp_path, doc, field):
+        self._assert_rejected(tmp_path, doc, field)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, doc, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         proc = subprocess.run(

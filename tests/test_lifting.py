@@ -156,7 +156,8 @@ class TestSortOnce:
         for grid in ([1, 2, 3, 5, 8, 12], [12, 3, 3, 40, 1], [30, 45]):
             errs = {k: rmse(fresh_sort_lift(table, q, min(k, 30))[0], qz) for k in grid}
             best = min(sorted(errs), key=lambda k: errs[k])
-            assert select_k(table, grid, q, qz) == best
+            # select_k answers with the count it lifted with, at most the 30 references.
+            assert select_k(table, grid, q, qz) == min(best, 30)
 
 
 class TestSelectK:
@@ -183,6 +184,10 @@ class TestSelectK:
             errs[k] = float(np.sqrt(np.mean((pred - z[40:]) ** 2)))
         best = min(sorted(errs), key=lambda k: errs[k])
         assert got == best
+
+    def test_returns_the_clipped_count(self):
+        table, c, z = toy_table(n=20)
+        assert select_k(table, [25], c[:5], z[:5]) == 20
 
     def test_empty_grid_rejected(self):
         table, c, z = toy_table()
