@@ -5,7 +5,9 @@ count of named float64 arrays stored as (name, ndim, dims..., raw LE data).
 Everything little-endian; round-trips are bit-exact.
 """
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -16,25 +18,36 @@ VERSION = 1
 
 
 def write_envelope(path, magic, meta, arrays):
-    """Write `meta` (JSON-serializable dict) and `arrays` (name -> ndarray)."""
+    """Write `meta` (JSON-serializable dict) and `arrays` (name -> ndarray).
+
+    The bytes go to a temporary file beside `path`, which then replaces it
+    in one step: a write that fails or is killed leaves no partial artifact,
+    and an existing one stays as it was."""
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes(order="C"))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(meta_blob)))
+            fh.write(meta_blob)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.ascontiguousarray(arr, dtype=np.float64)
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(arr.tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -151,14 +151,19 @@ def config_from_dict(doc):
 
 
 # One bound per field, as (test, bound): ">" / ">=" a least value, "<" a
-# greatest one, "in" a set of allowed values. A null value (the field's
-# heuristic) is not checked. tex2 needs a 3-point window, the
-# linear methods a keyframe gap with a frame inside it, a KDE grid two nodes
-# per axis, a contrastive window two frames to pair, the noise schedule two
-# steps and DDIM one stride over them.
+# greatest one, "[)" a (least, below) pair, "in" a set of allowed values. A
+# null value (the field's heuristic) is not checked. tex2 needs a 3-point
+# window, the linear methods a keyframe gap with a frame inside it, a KDE grid
+# two nodes per axis, a contrastive window two frames to pair, the noise
+# schedule two steps and DDIM one stride over them. A trajectory needs a
+# time span to move over, and damping must not grow the orbit. The renderer's
+# fixed-point inverse of the state map contracts only while 2.5 * nonlin_amp
+# < 1 (2.5 is the spectral norm of the map's nonlinear part).
 _BOUNDS = {
     "render_grid": (">=", 8), "dataset.n_traj": (">=", 2),
     "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
+    "dataset.t_max": (">", 0), "dataset.zeta_max": (">=", 0),
+    "dataset.nonlin_amp": ("[)", (0, 0.4)),
     "diffusion.T": (">=", 2), "diffusion.steps": (">=", 1), "diffusion.batch": (">=", 1),
     "diffusion.beta_start": (">", 0), "diffusion.beta_end": ("<", 1),
     "diffusion.condition_on": ("in", (("tau",), ("tau", "mu"))),
@@ -176,8 +181,10 @@ _BOUNDS = {
     "analysis.kde_nodes": (">=", 2), "analysis.kde_frames_per_class": (">=", 1),
 }
 _COMPARE = {
-    ">": (operator.gt, "above"), ">=": (operator.ge, "at least"), "<": (operator.lt, "below"),
-    "in": (lambda value, allowed: value in allowed, "one of"),
+    ">": (operator.gt, "above {}"), ">=": (operator.ge, "at least {}"),
+    "<": (operator.lt, "below {}"),
+    "[)": (lambda value, b: b[0] <= value < b[1], "at least {0[0]} and below {0[1]}"),
+    "in": (lambda value, allowed: value in allowed, "one of {}"),
 }
 
 
@@ -189,7 +196,7 @@ def validate_config(cfg):
         value = operator.attrgetter(path)(cfg)
         holds, words = _COMPARE[test]
         if value is not None and not holds(value, bound):
-            raise ConfigError(f"must be {words} {bound}", field=path)
+            raise ConfigError("must be " + words.format(bound), field=path)
     if not cfg.lifting.k_grid or min(cfg.lifting.k_grid) < 1:
         raise ConfigError("must be a non-empty list of counts of at least 1",
                           field="lifting.k_grid")
@@ -304,6 +311,7 @@ class Workspace:
         os.makedirs(self.cache, exist_ok=True)
         os.makedirs(self.run_dir, exist_ok=True)
         self.timings = {}
+        self.stage_cache = {}
         self.artifacts = []
 
     def path(self, stage, key, ext="bin"):
@@ -318,12 +326,15 @@ class Workspace:
 
     def stage(self, name, key, writer, reader):
         """Run or reuse one cached stage; returns the loaded artifact. Its
-        seconds (write and read on a miss, read on a hit) go to timings."""
+        seconds (write and read on a miss, read on a hit) go to timings,
+        and whether it was served from the cache to stage_cache."""
         path = self.path(name, key)
         with self.timed(name):
-            if self.force or not os.path.exists(path):
+            hit = not self.force and os.path.exists(path)
+            if not hit:
                 writer(path)
             artifact = reader(path)
+        self.stage_cache[name] = "hit" if hit else "miss"
         self.artifacts.append(path)
         return artifact
 
@@ -334,6 +345,7 @@ class Workspace:
             "config": config_to_dict(self.cfg),
             "artifacts": sorted(set(self.artifacts)),
             "stage_seconds": {k: round(v, 3) for k, v in self.timings.items()},
+            "stage_cache": self.stage_cache,
             "metrics_summary": summary,
         }
         path = os.path.join(self.run_dir, f"manifest-{command}.json")
@@ -783,13 +795,12 @@ def cmd_classify(cfg, out_dir, force=False):
 
 def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False):
     ws = Workspace(out_dir, cfg, force)
-    # Structure-retaining compact embedding (same family as the probe): the
-    # peak-to-peak segment then crosses intermediate regimes instead of the
-    # empty gap between class-collapsed clusters.
-    emb = dataclasses.replace(
-        probe_embedding_config(cfg), d=min(cfg.analysis.kde_d, 3)
-    )
-    ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-kde")
+    # The morph works in the probe's structure-retaining compact space, so
+    # the peak-to-peak segment crosses intermediate regimes instead of the
+    # empty gap between class-collapsed clusters. At the default kde_d the
+    # probe's cached encoder serves it.
+    emb = probe_embedding_config(cfg, cfg.analysis.kde_d)
+    ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-probe")
     c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
 
@@ -854,10 +865,12 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
         res = cmd_pipeline(sub, out_dir, force=force)
         rows += [dict(r, dataset=tag) for r in res["rows"]]
         # Each dimension's pipeline keeps its own workspace; its manifest's
-        # stage seconds and artifacts go into the sweep's, under "d<d>/".
+        # stage seconds, cache use and artifacts go into the sweep's, under
+        # "d<d>/".
         with open(res["manifest"]) as fh:
             done = json.load(fh)
         ws.timings.update({f"d{int(d)}/{k}": v for k, v in done["stage_seconds"].items()})
+        ws.stage_cache.update({f"d{int(d)}/{k}": v for k, v in done["stage_cache"].items()})
         ws.artifacts += done["artifacts"] + [res["manifest"]]
     return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 
@@ -871,14 +884,16 @@ def orthogonality_values(cfg, ds, z_all, encoder):
     }
 
 
-def probe_embedding_config(cfg):
-    """Encoder settings for the disentanglement probe: a compact 3-d space
-    trained with both proximity clauses (phase window across trajectories
-    plus a regime window), so both factors get an explicit axis."""
+def probe_embedding_config(cfg, d=None):
+    """Encoder settings of the compact probe space that `probe-orthogonality`
+    and `kde-edit` share: at most 3 dimensions (`d`, the embedding's by
+    default), trained with both proximity clauses (phase window across
+    trajectories plus a regime window), so both factors get an explicit axis.
+    Both commands cache it as "encoder-probe"; equal settings train once."""
     emb = cfg.embedding
     return dataclasses.replace(
         emb,
-        d=min(emb.d, 3),
+        d=min(emb.d if d is None else d, 3),
         cross_trajectory_time=True,
         delta_y=emb.delta_y if emb.delta_y is not None else 0.05,
     )

@@ -314,7 +314,7 @@ def test_criterion_11_metric_oracles():
     mse = float(np.mean((a - b) ** 2))
     psnr_err = abs(metrics.psnr(a, b, 1.0) - 10 * np.log10(1.0 / mse))
 
-    from test_metrics import ssim_double_loop
+    from test_metrics import procrustes_grid_oracle, ssim_double_loop
     ssim_err = abs(metrics.ssim(a, b) - ssim_double_loop(a, b))
 
     p = rng.stream("p").normal((10, 3))
@@ -325,19 +325,7 @@ def test_criterion_11_metric_oracles():
 
     s1 = rng.stream("s1").normal((5, 2))
     s2 = rng.stream("s2").normal((5, 2))
-    got = metrics.procrustes_distance(s1, s2)
-    c1 = s1 - s1.mean(axis=0)
-    c2 = s2 - s2.mean(axis=0)
-    c1 /= np.linalg.norm(c1)
-    c2 /= np.linalg.norm(c2)
-    best = np.inf
-    for theta in np.arange(0.0, 2 * np.pi, 1e-5):
-        rot = np.array([[np.cos(theta), -np.sin(theta)],
-                        [np.sin(theta), np.cos(theta)]])
-        r = c2 @ rot.T
-        scale = max(float(np.sum(r * c1)), 0.0)
-        best = min(best, float(np.sum((c1 - scale * r) ** 2)))
-    proc_err = abs(got - best)
+    proc_err = abs(metrics.procrustes_distance(s1, s2) - procrustes_grid_oracle(s1, s2))
 
     sym = (abs(metrics.psnr(a, b) - metrics.psnr(b, a)) <= 1e-10
            and abs(metrics.ssim(a, b) - metrics.ssim(b, a)) <= 1e-10

@@ -34,7 +34,7 @@ RECORDED_NUMPY = "2.4.6"
 TINY_OUTPUT_DIGESTS = {
     "pipeline": "549398eb3f84e37b9c0b0a924d88e320acd34ee29a9618bbeb146d285f978b5c",
     "classify": "e407355909f34674ce8e25946f750e97a57df1dc7e949027cb9f5ac356ba4759",
-    "kde-edit": "e9577ca2a830a5a13b0ac43357483d103496628561c226f7b474f96826d47912",
+    "kde-edit": "9b9bf710b334d9a73192692d37aff3dc66e4dc0f804a9af7da05009887bfceb2",
     "probe-orthogonality": "a5b6bd63da4eaab8ab53559ff25da9809708784626fb9dfd590a3098b3ecf4c7",
     "sweep-dim": "247c06917367e02d5293daa9f3b1a0cdceee822c80a501dd384a58e1b6c3bc46",
 }
@@ -203,8 +203,10 @@ class TestPipelineSmall:
     def test_cache_hit_rerun_times_every_upstream_stage(self, result):
         _, out = result
         res = harness.cmd_pipeline(tiny_config(), str(out))
-        seconds = json.load(open(res["manifest"]))["stage_seconds"]
-        assert {"dataset", "diffusion", "latents", "encoder", "table"} <= set(seconds)
+        manifest = json.load(open(res["manifest"]))
+        stages = {"dataset", "diffusion", "latents", "encoder", "table"}
+        assert stages <= set(manifest["stage_seconds"])
+        assert manifest["stage_cache"] == {s: "hit" for s in stages}
 
     def test_each_command_keeps_its_manifest(self, result):
         res, out = result
@@ -244,6 +246,11 @@ class TestSweepAndErrors:
         manifest = json.load(open(res["manifest"]))
         stages = ("dataset", "diffusion", "latents", "encoder", "table", "evaluate")
         assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stage_seconds"])
+        # The second dimension reuses everything upstream of its encoder.
+        cache = manifest["stage_cache"]
+        assert set(cache) == {f"d{d}/{s}" for d in (2, 3) for s in stages[:-1]}
+        assert [cache[f"d3/{s}"] for s in stages[:-1]] == ["hit"] * 3 + ["miss"] * 2
+        assert set(cache[f"d2/{s}"] for s in stages[:-1]) == {"miss"}
         names = [os.path.basename(p) for p in manifest["artifacts"]]
         assert sum(n.startswith("encoder-") for n in names) == 2
         assert names.count("pipeline.csv") == 2
@@ -289,6 +296,19 @@ class TestStageChain:
         res = harness.cmd_kde_edit(tiny_config(analysis={"kde_d": 2}), str(tmp_path))
         assert all(len(peak) == 2 for peak in res["peaks"])
         assert len(list((tmp_path / "cache").glob("table-kde-*.bin"))) == 2
+        # A 2-d morph space is not the probe's 3-d one: a second encoder.
+        assert len(list((tmp_path / "cache").glob("encoder-probe-*.bin"))) == 2
+
+    @pytest.mark.parametrize("order", [("kde-edit", "probe-orthogonality"),
+                                       ("probe-orthogonality", "kde-edit")])
+    def test_kde_edit_and_probe_share_one_encoder(self, tmp_path, order):
+        first, second = (COMMANDS[c](tiny_config(), str(tmp_path)) for c in order)
+        used = [json.load(open(r["manifest"]))["stage_cache"]["encoder-probe"]
+                for r in (first, second)]
+        assert used == ["miss", "hit"]
+        cache = tmp_path / "cache"
+        assert len(list(cache.glob("encoder-probe-*.bin"))) == 1
+        assert not list(cache.glob("encoder-kde-*"))
 
     def test_steps_change_reuses_the_denoiser(self, tmp_path):
         for steps in (8, 4):
@@ -373,6 +393,11 @@ class TestCli:
          "embedding.val_fraction"),
         ({"dataset": {"n_traj": 10}, "lifting": {"holdout_fraction": 0.95}},
          "lifting.holdout_fraction"),
+        ({"dataset": {"t_max": 0}}, "dataset.t_max"),
+        ({"dataset": {"zeta_max": -5}}, "dataset.zeta_max"),
+        ({"dataset": {"nonlin_amp": -0.1}}, "dataset.nonlin_amp"),
+        # The state map's inverse stops contracting at 2.5 * nonlin_amp = 1.
+        ({"dataset": {"nonlin_amp": 0.4}}, "dataset.nonlin_amp"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         self._assert_rejected(tmp_path, doc, field)
@@ -575,6 +600,19 @@ class TestBinioEnvelope:
             fh.write(b"junk")
         with pytest.raises(FormatError, match="trailing"):
             binio.read_envelope(path, b"TST1")
+
+    def test_failed_write_leaves_no_partial_artifact(self, tmp_path):
+        path = tmp_path / "f.bin"
+        bad = {"a": np.zeros(4), "b": np.array(["not a number"])}
+        with pytest.raises(ValueError):
+            binio.write_envelope(path, b"TST1", {}, bad)
+        assert list(tmp_path.iterdir()) == []
+        binio.write_envelope(path, b"TST1", {"k": 1}, {"a": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            binio.write_envelope(path, b"TST1", {}, bad)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "f.bin"
