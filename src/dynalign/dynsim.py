@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import binio
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError
 from .numcore import Rng, split_count
 
 DATASET_MAGIC = b"DYN1"
@@ -152,11 +152,15 @@ def generate_oscillator(
         t = taus * t_max
         # The regime parameter sets the orbit radius; phase time sets the
         # angle. Keeping the factors geometrically separate is what lets a
-        # good embedding disentangle them.
-        radius = (1.0 + 0.25 * u) * np.exp(-zeta * t)
-        ss = center + np.stack(
-            [radius * np.cos(omega * t), radius * np.sin(omega * t)], axis=1
-        )
+        # good embedding disentangle them. A phase that overflows leaves
+        # non-finite states, rejected here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = (1.0 + 0.25 * u) * np.exp(-zeta * t)
+            ss = center + np.stack(
+                [radius * np.cos(omega * t), radius * np.sin(omega * t)], axis=1
+            )
+        if not np.all(np.isfinite(ss)):
+            raise NumericError(f"trajectory {i} has non-finite states (t_max {t_max:g})")
         # One embed call per trajectory: BLAS rows depend on their batch.
         rows.append((mapping.embed(ss), ss, mu, zeta, label))
 

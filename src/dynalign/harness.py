@@ -14,6 +14,7 @@ import hashlib
 import json
 import operator
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -300,6 +301,13 @@ def _encoder_key(cfg, emb):
 LATENTS_MAGIC = b"LAT1"
 
 
+def _peak_rss_mb():
+    """The process's resident-set high-water mark so far, in MB (getrusage
+    reports KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 class Workspace:
     """Output directory with stage-hashed caching."""
 
@@ -311,6 +319,8 @@ class Workspace:
         os.makedirs(self.cache, exist_ok=True)
         os.makedirs(self.run_dir, exist_ok=True)
         self.timings = {}
+        self.cpu_timings = {}
+        self.peak_rss_mb = {}
         self.stage_cache = {}
         self.artifacts = []
 
@@ -319,10 +329,15 @@ class Workspace:
 
     @contextlib.contextmanager
     def timed(self, name):
-        """Add the wall seconds of the block to timings[name]."""
-        start = time.perf_counter()
+        """Add the wall and CPU seconds of the block to timings[name] and
+        cpu_timings[name], and record the process's peak RSS after it in
+        peak_rss_mb[name]."""
+        start, cpu_start = time.perf_counter(), time.process_time()
         yield
         self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
+        self.cpu_timings[name] = (self.cpu_timings.get(name, 0.0)
+                                  + time.process_time() - cpu_start)
+        self.peak_rss_mb[name] = _peak_rss_mb()
 
     def stage(self, name, key, writer, reader):
         """Run or reuse one cached stage; returns the loaded artifact. Its
@@ -345,6 +360,8 @@ class Workspace:
             "config": config_to_dict(self.cfg),
             "artifacts": sorted(set(self.artifacts)),
             "stage_seconds": {k: round(v, 3) for k, v in self.timings.items()},
+            "stage_cpu_seconds": {k: round(v, 3) for k, v in self.cpu_timings.items()},
+            "stage_peak_rss_mb": {k: round(v, 1) for k, v in self.peak_rss_mb.items()},
             "stage_cache": self.stage_cache,
             "metrics_summary": summary,
         }
@@ -865,12 +882,13 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
         res = cmd_pipeline(sub, out_dir, force=force)
         rows += [dict(r, dataset=tag) for r in res["rows"]]
         # Each dimension's pipeline keeps its own workspace; its manifest's
-        # stage seconds, cache use and artifacts go into the sweep's, under
-        # "d<d>/".
+        # stage wall and CPU seconds, peak RSS, cache use and artifacts go
+        # into the sweep's, under "d<d>/".
         with open(res["manifest"]) as fh:
             done = json.load(fh)
-        ws.timings.update({f"d{int(d)}/{k}": v for k, v in done["stage_seconds"].items()})
-        ws.stage_cache.update({f"d{int(d)}/{k}": v for k, v in done["stage_cache"].items()})
+        for mine, theirs in ((ws.timings, "stage_seconds"), (ws.cpu_timings, "stage_cpu_seconds"),
+                             (ws.peak_rss_mb, "stage_peak_rss_mb"), (ws.stage_cache, "stage_cache")):
+            mine.update({f"d{int(d)}/{k}": v for k, v in done[theirs].items()})
         ws.artifacts += done["artifacts"] + [res["manifest"]]
     return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import binio
-from .errors import InputError
+from .errors import InputError, NumericError
 from .metrics import rmse
 from .numcore import sq_dists
 
@@ -45,8 +45,12 @@ def _median_heuristic(c_ref, cap=1000):
     if n > cap:
         stride = int(np.ceil(n / cap))
         c_ref = c_ref[::stride]
-    upper = np.sqrt(sq_dists(c_ref, c_ref)[np.triu_indices(c_ref.shape[0], k=1)])
-    med = float(np.median(upper)) if upper.size else 1.0
+    # The strict upper triangle in row-major order, picked by a boolean
+    # mask: one byte per pair, where an index pair takes sixteen.
+    idx = np.arange(c_ref.shape[0])
+    upper = sq_dists(c_ref, c_ref)[idx[:, None] < idx[None, :]]
+    np.sqrt(upper, out=upper)
+    med = float(np.median(upper, overwrite_input=True)) if upper.size else 1.0
     return med if med > 0.0 else 1.0
 
 
@@ -68,6 +72,8 @@ def build_table(embeddings, latents, config, k=5):
     sigma = config.sigma if config.sigma is not None else _median_heuristic(c)
     if sigma <= 0.0:
         raise InputError("gaussian bandwidth must be positive")
+    if config.kernel == "gaussian" and 2.0 * sigma**2 == 0.0:
+        raise NumericError(f"gaussian bandwidth {sigma:g} underflows when squared")
     k = int(np.clip(k, 1, c.shape[0]))
     return KnnTable(c_ref=c, z_ref=z, kernel=config.kernel,
                     metric=config.metric, k=k, sigma=float(sigma))
@@ -76,7 +82,8 @@ def build_table(embeddings, latents, config, k=5):
 def _distances(table, queries):
     c = table.c_ref
     if table.metric == "euclidean":
-        return np.sqrt(sq_dists(queries, c))
+        d2 = sq_dists(queries, c)
+        return np.sqrt(d2, out=d2)
     qn = np.linalg.norm(queries, axis=1, keepdims=True)
     cn = np.linalg.norm(c, axis=1, keepdims=True)
     if np.any(qn == 0.0) or np.any(cn == 0.0):
@@ -134,7 +141,8 @@ def select_k(table, k_grid, heldout_embeddings, heldout_latents):
 
     Grid entries are clipped to [1, reference count], and the clipped count
     is returned. Ties break toward the smaller count; the grid is scanned in
-    ascending order with strict improvement required.
+    ascending order with strict improvement required. NumericError if no
+    count gives a finite error.
     """
     if len(k_grid) == 0:
         raise InputError("empty neighbor-count grid")
@@ -148,6 +156,8 @@ def select_k(table, k_grid, heldout_embeddings, heldout_latents):
         err = rmse(lifted, hz)
         if err < best_err:
             best_k, best_err = k, err
+    if best_k is None:
+        raise NumericError("no neighbour count gives a finite held-out error")
     return best_k
 
 

@@ -61,7 +61,14 @@ def split_count(n, fraction):
 
 
 class AdamState:
-    """Bias-corrected Adam moments for a named parameter collection."""
+    """Bias-corrected Adam moments for a named parameter collection.
+
+    Construction moves the collection into one flat float64 vector: each
+    entry of `params` is rebound to a view of it, with its key, shape and
+    values unchanged, so adam_step updates every block in one pass per
+    operation. The moments `m`, `v` and the step's scratch share that
+    layout; `blocks` lists each key with its slice bounds.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -73,30 +80,59 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.blocks = []
+        n = 0
+        for key, p in params.items():
+            self.blocks.append((key, n, n + p.size))
+            n += p.size
+        self.flat = np.empty(n)
+        for key, lo, hi in self.blocks:
+            view = self.flat[lo:hi].reshape(params[key].shape)
+            view[...] = params[key]
+            params[key] = view
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._g = np.empty(n)
+        self._tmp = np.empty(n)
 
 
 def adam_step(params, grads, state):
-    """One in-place Adam update. Returns (params, state) for chaining."""
+    """One in-place Adam update of the flat vector behind `params` (see
+    AdamState). Returns (params, state) for chaining. A non-finite gradient
+    or squared gradient raises NumericError naming its block, before any
+    parameter moves."""
+    g, tmp = state._g, state._tmp
+    for key, lo, hi in state.blocks:
+        p, gk = params[key], grads[key]
+        if gk.shape != p.shape:
+            raise ShapeError(f"gradient shape {gk.shape} != param shape {p.shape} for {key!r}")
+        if p.base is not state.flat:
+            raise ValueError(f"parameter block {key!r} was rebound after its AdamState was made")
+        g[lo:hi].reshape(p.shape)[...] = gk
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter block {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    with np.errstate(over="ignore"):    # an overflow leaves inf in v, caught below
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+    if not np.isfinite(v.max()):        # v >= 0, so its max is finite iff all are
+        for key, lo, hi in state.blocks:
+            if not np.all(np.isfinite(v[lo:hi])):
+                what = "gradient" if not np.all(np.isfinite(g[lo:hi])) else "squared gradient"
+                raise NumericError(f"non-finite {what} in parameter block {key!r}")
+    np.divide(v, 1.0 - b2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, 1.0 - b1**t, out=g)
+    g *= state.lr
+    g /= tmp
+    state.flat -= g
     return params, state
 
 
@@ -211,23 +247,27 @@ def condition_features(cond, num):
 
 def sq_dists(a, b):
     """Squared Euclidean distances between the rows of `a` and of `b`, from
-    the Gram expansion |a|^2 + |b|^2 - 2 a.b clipped at 0. For self-distances
-    pass one array twice: `a @ a.T` then takes BLAS's symmetric path."""
-    return np.maximum(
-        np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T),
-        0.0,
-    )
+    the Gram expansion |a|^2 + |b|^2 - 2 a.b clipped at 0, built in the
+    Gram product's buffer. For self-distances pass one array twice:
+    `a @ a.T` then takes BLAS's symmetric path. The GEMM is one call; the
+    norm sums are formed 64 rows at a time, so one (n, m) array is held."""
+    na = np.sum(a * a, axis=1)
+    nb = np.sum(b * b, axis=1)[None, :]
+    d2 = a @ b.T
+    d2 *= 2.0
+    for lo in range(0, d2.shape[0], 64):
+        rows = d2[lo : lo + 64]
+        np.subtract(na[lo : lo + 64, None] + nb, rows, out=rows)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _silu(z):
-    """SiLU of z and the sigmoid gate its slope reuses, built once in one
-    buffer."""
+def _sigmoid(z):
+    """The SiLU gate 1 / (1 + exp(-z)), built in one buffer."""
     s = np.negative(z)
     with np.errstate(over="ignore"):    # exp(-z) = inf is the exact gate 0
         np.exp(s, out=s)
     s += 1.0
-    np.divide(1.0, s, out=s)
-    return z * s, s
+    return np.divide(1.0, s, out=s)
 
 
 class Mlp:
@@ -261,24 +301,31 @@ class Mlp:
         return len(self.dims) - 1
 
     def forward(self, x, want_cache=False):
+        """Output rows for input rows `x`; with want_cache, also what
+        backward needs. Without it, each layer's arrays are dropped before
+        the next layer allocates, so at most two hidden-width arrays live."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ShapeError(f"expected input (*, {self.dims[0]}), got {x.shape}")
-        cache = {"inputs": [x], "pre": [], "gates": []}
+        cache = {"inputs": [x], "pre": [], "gates": []} if want_cache else None
         h = x
         for i in range(self.n_layers):
-            z = h @ self.params[f"w{i}"] + self.params[f"b{i}"]
-            if i < self.n_layers - 1:
-                h, gate = _silu(z)
-                if want_cache:
-                    cache["pre"].append(z)
-                    cache["gates"].append(gate)
-                    cache["inputs"].append(h)
+            z = h @ self.params[f"w{i}"]
+            z += self.params[f"b{i}"]
+            del h
+            if i == self.n_layers - 1:
+                break
+            gate = _sigmoid(z)
+            if want_cache:
+                h = z * gate
+                cache["pre"].append(z)
+                cache["gates"].append(gate)
+                cache["inputs"].append(h)
             else:
-                h = z
-        if want_cache:
-            return h, cache
-        return h
+                gate *= z
+                h = gate
+            del z, gate
+        return (z, cache) if want_cache else z
 
     def backward(self, cache, dout):
         """Gradients for all parameters plus the input, given d(loss)/d(out)."""
@@ -290,6 +337,11 @@ class Mlp:
             grads[f"b{i}"] = delta.sum(axis=0)
             delta = delta @ self.params[f"w{i}"].T
             if i > 0:
+                # SiLU slope gate * (1 + z * (1 - gate)), built in one buffer.
                 z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
-                delta = delta * (gate * (1.0 + z * (1.0 - gate)))
+                slope = np.subtract(1.0, gate)
+                slope *= z
+                slope += 1.0
+                slope *= gate
+                delta *= slope
         return grads, delta

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynalign import dynsim
-from dynalign.errors import ConfigError, FormatError, InputError
+from dynalign.errors import ConfigError, FormatError, InputError, NumericError
 
 
 def small_dataset(seed=0, **kw):
@@ -69,6 +69,12 @@ class TestGenerate:
             small_dataset(mu_range=(1.0, 0.2))
         with pytest.raises(ConfigError):
             small_dataset(D=1)
+
+    def test_overflowing_phase_is_rejected(self):
+        # omega * t overflows to inf; sin(inf) is NaN. No warning escapes
+        # (pytest fails on one), and no dataset is returned.
+        with pytest.raises(NumericError, match="trajectory 0 has non-finite states"):
+            small_dataset(t_max=1e308)
 
 
 class TestStack:

@@ -59,6 +59,19 @@ def output_digest(out_dir):
     return h.hexdigest()
 
 
+def assert_cpu_and_peak_rss_per_entry(manifest):
+    """Every timed entry of a manifest also has CPU seconds and a positive
+    peak RSS in MB, which never falls from one stage of a run to the next."""
+    timed = set(manifest["stage_seconds"])
+    assert set(manifest["stage_cpu_seconds"]) == timed
+    assert set(manifest["stage_peak_rss_mb"]) == timed
+    assert all(v >= 0.0 for v in manifest["stage_cpu_seconds"].values())
+    peaks = manifest["stage_peak_rss_mb"]
+    assert all(10.0 < v < 1e5 for v in peaks.values())
+    chain = [s for s in ("dataset", "diffusion", "latents", "encoder", "table") if s in peaks]
+    assert [peaks[s] for s in chain] == sorted(peaks[s] for s in chain)
+
+
 def tiny_config(**overrides):
     doc = json.loads(json.dumps(TINY))
     for key, val in overrides.items():
@@ -207,6 +220,7 @@ class TestPipelineSmall:
         stages = {"dataset", "diffusion", "latents", "encoder", "table"}
         assert stages <= set(manifest["stage_seconds"])
         assert manifest["stage_cache"] == {s: "hit" for s in stages}
+        assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_each_command_keeps_its_manifest(self, result):
         res, out = result
@@ -246,6 +260,7 @@ class TestSweepAndErrors:
         manifest = json.load(open(res["manifest"]))
         stages = ("dataset", "diffusion", "latents", "encoder", "table", "evaluate")
         assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stage_seconds"])
+        assert_cpu_and_peak_rss_per_entry(manifest)
         # The second dimension reuses everything upstream of its encoder.
         cache = manifest["stage_cache"]
         assert set(cache) == {f"d{d}/{s}" for d in (2, 3) for s in stages[:-1]}
@@ -289,7 +304,9 @@ class TestStageChain:
         ("probe-orthogonality", "probe")])
     def test_manifest_times_the_work_after_the_stages(self, tmp_path, command, name):
         res = COMMANDS[command](tiny_config(), str(tmp_path))
-        assert name in json.load(open(res["manifest"]))["stage_seconds"]
+        manifest = json.load(open(res["manifest"]))
+        assert name in manifest["stage_seconds"]
+        assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_kde_table_follows_kde_dimension(self, tmp_path):
         harness.cmd_kde_edit(tiny_config(), str(tmp_path))
@@ -441,6 +458,31 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         cached = [p.name for p in (tmp_path / "runs" / "cache").iterdir()]
         assert len(cached) == 1 and cached[0].startswith("dataset-")
+
+    @pytest.mark.parametrize("section,key,value,message,left", [
+        # The encoder's squared gradient overflows in Adam.
+        ("embedding", "tau", 1e-300, "squared gradient in parameter block", "encoder-"),
+        # sigma**2 underflows, so every Gaussian weight would be NaN.
+        ("lifting", "sigma", 1e-300, "gaussian bandwidth 1e-300 underflows", "table-"),
+        # omega * t overflows: the dataset itself is non-finite.
+        ("dataset", "t_max", 1e308, "trajectory 0 has non-finite states", "dataset-"),
+    ], ids=["tau", "sigma", "t_max"])
+    def test_non_finite_numbers_exit_3_before_caching(self, tmp_path, section, key, value,
+                                                       message, left):
+        doc = json.loads(json.dumps(TINY))
+        doc[section][key] = value
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 3
+        # One line: the exit-3 message, with no numpy warning before it.
+        assert len(proc.stderr.splitlines()) == 1
+        assert message in proc.stderr
+        assert not list((tmp_path / "runs" / "cache").glob(f"{left}*"))
 
     def test_single_class_classify_exits_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dynalign.errors import InputError
+from dynalign.errors import InputError, NumericError
 from dynalign.lifting import (
-    LiftingConfig, _distances, _weights, build_table, lift, lift_many, load_table,
-    save_table, select_k,
+    LiftingConfig, _distances, _median_heuristic, _weights, build_table, lift, lift_many,
+    load_table, save_table, select_k,
 )
 from dynalign.metrics import rmse
 from dynalign.numcore import Rng
@@ -53,6 +55,31 @@ class TestBuildTable:
         assert (back.kernel, back.metric, back.k, back.sigma) == (
             table.kernel, table.metric, table.k, table.sigma,
         )
+
+
+class TestMedianHeuristic:
+    def test_is_the_median_upper_triangle_distance(self):
+        c = Rng(3).normal((40, 3))
+        d = np.sqrt(np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
+        assert np.isclose(_median_heuristic(c), np.median(d[np.triu_indices(40, k=1)]),
+                          rtol=1e-12)
+
+    def test_strides_down_to_the_cap(self):
+        c = Rng(4).normal((25, 2))
+        assert _median_heuristic(c, cap=10) == _median_heuristic(c[::3])
+
+    def test_memory_is_bounded(self):
+        n = 1000
+        c = Rng(5).normal((n, 3))
+        tracemalloc.start()
+        try:
+            _median_heuristic(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # n^2 distances, an n^2 boolean mask and the n(n-1)/2 selected ones;
+        # np.triu_indices' two int64 index arrays took another n^2 floats.
+        assert peak <= 1.7 * n * n * 8
 
 
 class TestLift:
@@ -188,6 +215,24 @@ class TestSelectK:
     def test_returns_the_clipped_count(self):
         table, c, z = toy_table(n=20)
         assert select_k(table, [25], c[:5], z[:5]) == 20
+
+    def test_no_finite_error_raises(self):
+        # A NaN latent makes every count's error NaN: no k may be returned.
+        table, c, z = toy_table()
+        z_bad = z[:5].copy()
+        z_bad[0, 0] = np.nan
+        with pytest.raises(NumericError, match="no neighbour count"):
+            select_k(table, [1, 3], c[:5], z_bad)
+
+    @pytest.mark.parametrize("kernel", ["uniform", "gaussian"])
+    def test_bandwidth_underflow_raises_for_the_gaussian_kernel_only(self, kernel):
+        c = Rng(1).normal((6, 2))
+        config = LiftingConfig(kernel=kernel, sigma=1e-300)
+        if kernel == "gaussian":
+            with pytest.raises(NumericError, match="underflows"):
+                build_table(c, c, config)
+        else:
+            assert build_table(c, c, config).sigma == 1e-300
 
     def test_empty_grid_rejected(self):
         table, c, z = toy_table()

@@ -1,14 +1,17 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynalign.contrastive import EncoderModel
 from dynalign.errors import InputError, NumericError
 from dynalign.numcore import (
     AdamState, Mlp, Rng, adam_step, fit, grad_check, shuffled_batches,
     sinusoidal_features, sq_dists,
 )
+from dynalign.traversal import RecurrentPredictor
 
 
 class TestRng:
@@ -63,6 +66,27 @@ class TestAdam:
         st = AdamState(p)
         with pytest.raises(NumericError, match="blockname"):
             adam_step(p, {"blockname": np.array([np.nan, 0.0])}, st)
+
+    def test_overflowing_squared_gradient_names_block_and_moves_nothing(self):
+        p = {"small": np.ones(3), "huge": np.ones((2, 2))}
+        st = AdamState(p)
+        with pytest.raises(NumericError, match="squared gradient in parameter block 'huge'"):
+            adam_step(p, {"small": np.ones(3), "huge": np.full((2, 2), 1e200)}, st)
+        assert np.array_equal(p["small"], np.ones(3))
+        assert np.array_equal(p["huge"], np.ones((2, 2)))
+
+    def test_blocks_become_views_of_one_flat_vector(self):
+        w, b = Rng(1).normal((3, 4)), Rng(2).normal(4)
+        p = {"w": w.copy(), "b": b.copy()}
+        st = AdamState(p)
+        assert list(p) == ["w", "b"]
+        assert np.array_equal(p["w"], w) and np.array_equal(p["b"], b)
+        assert p["w"].base is st.flat and p["b"].base is st.flat
+        assert np.array_equal(st.flat, np.concatenate([w.ravel(), b]))
+        # A block rebound after construction would no longer be updated.
+        p["b"] = b.copy()
+        with pytest.raises(ValueError, match="'b' was rebound"):
+            adam_step(p, {"w": np.ones((3, 4)), "b": np.ones(4)}, st)
 
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):
@@ -259,3 +283,166 @@ def test_sinusoidal_features_shape_and_range():
 def test_sinusoidal_features_rejects_odd_count():
     with pytest.raises(ValueError):
         sinusoidal_features(np.zeros(3), 7, 0.5, 2.0)
+
+
+# Allocating references of the dense kernels: a fresh array for every
+# elementwise step. The kernels build the same steps in place, in the same
+# order per element, so they must give these bits exactly.
+
+
+def silu_oracle(z):
+    s = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return z * s, s
+
+
+def forward_oracle(net, x):
+    cache = {"inputs": [x], "pre": [], "gates": []}
+    h = x
+    for i in range(net.n_layers):
+        z = h @ net.params[f"w{i}"] + net.params[f"b{i}"]
+        if i < net.n_layers - 1:
+            h, gate = silu_oracle(z)
+            cache["pre"].append(z)
+            cache["gates"].append(gate)
+            cache["inputs"].append(h)
+        else:
+            h = z
+    return h, cache
+
+
+def backward_oracle(net, cache, dout):
+    grads = {}
+    delta = dout
+    for i in range(net.n_layers - 1, -1, -1):
+        h_in = cache["inputs"][i]
+        grads[f"w{i}"] = h_in.T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        delta = delta @ net.params[f"w{i}"].T
+        if i > 0:
+            z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
+            delta = delta * (gate * (1.0 + z * (1.0 - gate)))
+    return grads, delta
+
+
+class AdamOracle:
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def __call__(self, params, grads):
+        self.step += 1
+        t = self.step
+        b1, b2 = self.beta1, self.beta2
+        for key, p in params.items():
+            g = grads[key]
+            m = self.m[key]
+            v = self.v[key]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def sq_dists_oracle(a, b):
+    return np.maximum(
+        np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T),
+        0.0,
+    )
+
+
+def denoiser_net():
+    """A denoiser-shaped MLP: 12 state + 32 time + 16 condition features in,
+    4 x 256 hidden, 12 out (initialised in full, not with the zero last
+    layer that would hide the output half of the comparison)."""
+    return Mlp([60, 256, 256, 256, 256, 12], rng=Rng(0).stream("net"))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 128, 2304])
+def test_mlp_kernels_match_the_allocating_oracle(rows):
+    net = denoiser_net()
+    rng = Rng(rows).stream("data")
+    x = rng.stream("x").normal((rows, 60)) * 3.0
+    dout = rng.stream("d").normal((rows, 12))
+    want, want_cache = forward_oracle(net, x)
+    out, cache = net.forward(x, want_cache=True)
+    assert np.array_equal(out, want)
+    assert np.array_equal(net.forward(x), want)
+    for key in ("inputs", "pre", "gates"):
+        assert all(np.array_equal(a, b) for a, b in zip(cache[key], want_cache[key], strict=True))
+    grads, dx = net.backward(cache, dout)
+    want_grads, want_dx = backward_oracle(net, want_cache, dout)
+    assert np.array_equal(dx, want_dx)
+    assert grads.keys() == want_grads.keys()
+    assert all(np.array_equal(grads[k], want_grads[k]) for k in grads)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 128, 2304])
+def test_sq_dists_matches_the_allocating_oracle(rows):
+    rng = Rng(rows).stream("pts")
+    a = rng.stream("a").normal((rows, 5)) * 2.0
+    b = rng.stream("b").normal((97, 5))
+    assert np.array_equal(sq_dists(a, b), sq_dists_oracle(a, b))
+    # Self-distances (BLAS's symmetric path) at up to the median heuristic's
+    # 1000-row cap.
+    a = a[:1000]
+    assert np.array_equal(sq_dists(a, a), sq_dists_oracle(a, a))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: denoiser_net().params,
+    lambda: EncoderModel(12, 8, rng=Rng(0).stream("enc")).params,
+    lambda: RecurrentPredictor(8, hidden=64, rng=Rng(0).stream("rec")).params,
+], ids=["denoiser", "encoder", "recurrent"])
+def test_flat_adam_matches_per_block_oracle(make):
+    params = make()
+    mine = {k: v.copy() for k, v in params.items()}
+    state, oracle = AdamState(mine, lr=3e-3), AdamOracle(params, lr=3e-3)
+    rng = Rng(5).stream("grads")
+    for step in range(24):
+        # Gradient scales from 1e-6 to 1e2 exercise both moments' ranges.
+        grads = {k: rng.substream(step).stream(k).normal(v.shape) * 10.0 ** (step % 9 - 6)
+                 for k, v in params.items()}
+        adam_step(mine, grads, state)
+        oracle(params, grads)
+        assert all(np.array_equal(mine[k], params[k]) for k in params)
+    assert all(np.array_equal(state.m[lo:hi], oracle.m[k].ravel())
+               and np.array_equal(state.v[lo:hi], oracle.v[k].ravel())
+               for k, lo, hi in state.blocks)
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_forward_holds_two_hidden_arrays():
+    net = denoiser_net()
+    rows = 2304
+    x = Rng(7).normal((rows, 60))
+    # Two 256-wide arrays plus the input and the output, and 64 KiB for
+    # interpreter bookkeeping; the allocating forward held four.
+    bound = (2 * 256 + 60 + 12) * rows * 8 + 65536
+    assert traced_peak_bytes(lambda: net.forward(x)) <= bound
+
+
+def test_sq_dists_holds_one_distance_array():
+    n = 1000
+    a = Rng(8).normal((n, 3))
+    # The result, at most two 64-row blocks of norm sums, the row norms and
+    # the (n, 3) squares they are summed from; the expression it replaced
+    # held two n x n arrays.
+    bound = (n * n + 2 * 64 * n + 2 * n + n * 3) * 8 + 65536
+    assert traced_peak_bytes(lambda: sq_dists(a, a)) <= bound
