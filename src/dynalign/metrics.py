@@ -36,9 +36,12 @@ def psnr(a, b, max_value=1.0):
 
 
 def _window_sums(img, w):
-    # Sliding-window sums via 2-D cumulative sums (stride 1).
-    c = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
+    # Sliding-window sums via 2-D cumulative sums (stride 1), written into
+    # a zero-bordered table so that c[i, j] sums img[:i, :j].
+    h, wd = img.shape
+    c = np.zeros((h + 1, wd + 1))
+    np.cumsum(img, axis=0, out=c[1:, 1:])
+    np.cumsum(c[1:, 1:], axis=1, out=c[1:, 1:])
     return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
 
 

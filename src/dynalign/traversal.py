@@ -49,16 +49,15 @@ class SplineCurve:
 def _difference_operators(knots):
     n = knots.size
     h = np.diff(knots)
+    k = np.arange(n - 2)
     q = np.zeros((n, n - 2))
     r = np.zeros((n - 2, n - 2))
-    for k in range(n - 2):
-        q[k, k] = 1.0 / h[k]
-        q[k + 1, k] = -1.0 / h[k] - 1.0 / h[k + 1]
-        q[k + 2, k] = 1.0 / h[k + 1]
-        r[k, k] = (h[k] + h[k + 1]) / 3.0
-        if k + 1 < n - 2:
-            r[k, k + 1] = h[k + 1] / 6.0
-            r[k + 1, k] = h[k + 1] / 6.0
+    q[k, k] = 1.0 / h[:-1]
+    q[k + 1, k] = -1.0 / h[:-1] - 1.0 / h[1:]
+    q[k + 2, k] = 1.0 / h[1:]
+    r[k, k] = (h[:-1] + h[1:]) / 3.0
+    r[k[:-1], k[:-1] + 1] = h[1:-1] / 6.0
+    r[k[:-1] + 1, k[:-1]] = h[1:-1] / 6.0
     return q, r
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dynalign.errors import InputError
 from dynalign.metrics import (
-    procrustes_distance, psnr, rmse, ssim, total_abs_error,
+    _window_sums, procrustes_distance, psnr, rmse, ssim, total_abs_error,
 )
 from dynalign.numcore import Rng
 
@@ -100,6 +100,14 @@ class TestSsim:
     def test_too_small_image(self):
         with pytest.raises(InputError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("shape,w", [((8, 8), 8), ((16, 16), 8), ((13, 21), 5)])
+    def test_window_sums_equal_padded_cumsum(self, shape, w):
+        # The pad-based form the zero-bordered table replaces, bit for bit.
+        img = Rng(8).uniform(0, 1, shape)
+        c = np.pad(np.cumsum(np.cumsum(img, axis=0), axis=1), ((1, 0), (1, 0)))
+        expect = c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+        assert np.array_equal(_window_sums(img, w), expect)
 
 
 class TestTotalAbsError:

@@ -4,7 +4,7 @@ import pytest
 from dynalign.errors import InputError
 from dynalign.numcore import Rng, grad_check
 from dynalign.traversal import (
-    RecurrentPredictor, TexStencil, fit_spline, lerp, slerp, spline_traverse,
+    RecurrentPredictor, _difference_operators, TexStencil, fit_spline, lerp, slerp, spline_traverse,
     stencil_from_window, tex_extrapolate, train_recurrent,
 )
 
@@ -42,6 +42,24 @@ class TestFitSpline:
             curve = fit_spline(al, pts, lam)
             residuals.append(float(np.sum((curve.evaluate(al) - pts) ** 2)))
         assert all(residuals[i + 1] <= residuals[i] + 1e-12 for i in range(4))
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 47])
+    def test_difference_operators_equal_loop_form(self, n):
+        # The per-column loop the index assignments replace, bit for bit.
+        knots = np.cumsum(Rng(13).uniform(0.1, 1.0, n))
+        h = np.diff(knots)
+        q = np.zeros((n, n - 2))
+        r = np.zeros((n - 2, n - 2))
+        for k in range(n - 2):
+            q[k, k] = 1.0 / h[k]
+            q[k + 1, k] = -1.0 / h[k] - 1.0 / h[k + 1]
+            q[k + 2, k] = 1.0 / h[k + 1]
+            r[k, k] = (h[k] + h[k + 1]) / 3.0
+            if k + 1 < n - 2:
+                r[k, k + 1] = h[k + 1] / 6.0
+                r[k + 1, k] = h[k + 1] / 6.0
+        got_q, got_r = _difference_operators(knots)
+        assert np.array_equal(got_q, q) and np.array_equal(got_r, r)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
