@@ -240,7 +240,9 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
 
     cond = np.stack([taus, mus], axis=1) if encoder.use_condition else None
 
-    def loss_and_grads(plan):
+    def rows_and_positives(plan):
+        """A plan's frame rows and their positive mask, or None when the
+        batch is degenerate."""
         traj_subset, starts = plan
         idx = np.concatenate(
             [
@@ -257,6 +259,13 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
             )
         except InputError:
             return None
+        return idx, positives
+
+    def loss_and_grads(plan):
+        batch = rows_and_positives(plan)
+        if batch is None:
+            return None
+        idx, positives = batch
         return batch_loss_and_grads(
             encoder, z[idx], positives, config.tau,
             None if cond is None else cond[idx],
@@ -266,12 +275,17 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
     n_train_batches = max(2, len(train_trajs) // max(config.traj_per_batch, 1) * 4)
     val_plans = _batches_for(val_trajs, min_frames, config,
                              rng.stream("val-batches"), max(2, len(val_trajs)))
+    # The validation batches are fixed: their rows and positives are built
+    # once, and each epoch scores them with the forward pass alone.
+    val_batches = [(z[idx], None if cond is None else cond[idx], positives)
+                   for idx, positives in filter(None, map(rows_and_positives, val_plans))]
     val_curve = []
     best_val, stale = np.inf, 0
 
     def saturated(mean_loss):
         nonlocal best_val, stale
-        v_losses = [out[0] for plan in val_plans if (out := loss_and_grads(plan)) is not None]
+        v_losses = [infonce_loss(ContrastiveBatch(encoder.forward(zb, cb), pos, config.tau))[0]
+                    for zb, cb, pos in val_batches]
         v = float(np.mean(v_losses)) if v_losses else mean_loss
         val_curve.append(v)
         if v < best_val - config.min_improve:

@@ -331,9 +331,13 @@ class Workspace:
     def timed(self, name):
         """Add the wall and CPU seconds of the block to timings[name] and
         cpu_timings[name], and record the process's peak RSS after it in
-        peak_rss_mb[name]."""
+        peak_rss_mb[name]. A floating-point error raised inside (see `main`)
+        leaves as NumericError naming the stage."""
         start, cpu_start = time.perf_counter(), time.process_time()
-        yield
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericError(f"stage {name}: {exc}") from exc
         self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
         self.cpu_timings[name] = (self.cpu_timings.get(name, 0.0)
                                   + time.process_time() - cpu_start)
@@ -574,14 +578,14 @@ def _target_frames(tcfg, S):
     return np.array(kf), [s for s in range(start, S - 1, tcfg.target_stride) if s not in kf]
 
 
-def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
+def _predict(method, vecs, alphas, s_star, tcfg, kf):
     """Reconstruct one unobserved frame.
 
     Linear methods interpolate between the keyframes flanking the target
     (their anchor-to-anchor usage); the smoothing spline imputes the frame
-    from every other frame of the trajectory; the Taylor stencils and the
-    recurrent baseline work one step ahead from the dense trailing window,
-    as local traversal operators do.
+    from every other frame of the trajectory; the Taylor stencils work one
+    step ahead from the dense trailing window, as local traversal operators
+    do (the recurrent baseline too, batched in `evaluate_traversal`).
     """
     d_alpha = float(alphas[1] - alphas[0])
     if method in ("lerp", "slerp"):
@@ -602,9 +606,6 @@ def _predict(method, vecs, alphas, s_star, tcfg, recurrent_model, kf):
         window = vecs[s_star - tcfg.tex_window : s_star]
         stencil = traversal.stencil_from_window(window, d_alpha)
         return traversal.tex_extrapolate(stencil, 1 if method == "tex1" else 2)
-    if method == "recurrent":
-        context = vecs[s_star - tcfg.context : s_star]
-        return recurrent_model.rollout(context, 1)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -616,6 +617,8 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
     test_idx = ds.indices("test")
     train_idx = ds.indices("train")
     kf, targets = _target_frames(tcfg, z_all.shape[1])
+    # Each target's dense trailing window, (n_targets, context).
+    context_frames = np.array(targets)[:, None] + np.arange(-tcfg.context, 0)
     n_pred = len(test_idx) * len(targets)
     n_render = min(tcfg.render_targets_per_traj, len(targets))
     at = np.arange(n_render) * max(1, len(targets) // n_render)
@@ -647,11 +650,16 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
         methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"]
         if space != "Z" or tcfg.spline_in_z:
             methods.append("spline")
-        truth = vecs_all[test_idx][:, targets]
+        test_vecs = vecs_all[test_idx]
+        truth = test_vecs[:, targets]
         for method in methods:
             # (n_test, n_targets, dim), like truth
-            pred = np.array([[_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, rec, kf)
-                              for s in targets] for ti in test_idx])
+            if method == "recurrent":
+                contexts = test_vecs[:, context_frames].reshape(-1, tcfg.context, truth.shape[2])
+                pred = rec.rollout(contexts, 1).reshape(truth.shape)
+            else:
+                pred = np.array([[_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, kf)
+                                  for s in targets] for ti in test_idx])
             err = metrics.rmse(pred, truth)
             rows.append(row(cfg, space, method, "rmse", err, n_pred))
             rows.append(row(cfg, space, method, "rmse_norm", err / scale, n_pred))
@@ -966,26 +974,31 @@ def main(argv=None):
             print(json.dumps(config_schema(), indent=2, sort_keys=True))
             return 0
         cfg = load_config(args.config, args.seed)
-        if args.command == "simulate":
-            result = cmd_simulate(cfg, args.out, args.force)
-        elif args.command == "pipeline":
-            result = cmd_pipeline(cfg, args.out, args.force)
-        elif args.command == "classify":
-            result = cmd_classify(cfg, args.out, args.force)
-        elif args.command == "kde-edit":
-            etas = [float(x) for x in args.etas.split(",") if x != ""]
-            result = cmd_kde_edit(cfg, args.out, etas, args.force)
-        elif args.command == "sweep-dim":
-            dims = [int(x) for x in args.dims.split(",") if x != ""]
-            result = cmd_sweep_dim(cfg, args.out, dims, args.force)
-        elif args.command == "probe-orthogonality":
-            result = cmd_probe_orthogonality(cfg, args.out, args.force)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
+        # One floating-point policy: overflow, division by zero and invalid
+        # operations raise (exit 3). The declared exceptions are local
+        # errstate blocks whose overflow is exact or checked right after:
+        # numcore._sigmoid, the MGU gate, adam_step, generate_oscillator.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "simulate":
+                result = cmd_simulate(cfg, args.out, args.force)
+            elif args.command == "pipeline":
+                result = cmd_pipeline(cfg, args.out, args.force)
+            elif args.command == "classify":
+                result = cmd_classify(cfg, args.out, args.force)
+            elif args.command == "kde-edit":
+                etas = [float(x) for x in args.etas.split(",") if x != ""]
+                result = cmd_kde_edit(cfg, args.out, etas, args.force)
+            elif args.command == "sweep-dim":
+                dims = [int(x) for x in args.dims.split(",") if x != ""]
+                result = cmd_sweep_dim(cfg, args.out, dims, args.force)
+            elif args.command == "probe-orthogonality":
+                result = cmd_probe_orthogonality(cfg, args.out, args.force)
+            else:  # pragma: no cover
+                raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, InputError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     for key in ("csv", "manifest", "dataset"):

@@ -174,7 +174,8 @@ class RecurrentPredictor:
     """Single minimal-gated-unit cell with a linear readout.
 
     Trained one-step-ahead with teacher forcing; rollout feeds predictions
-    back autoregressively.
+    back autoregressively. Both run time-major: the arrays of T time steps
+    over a batch of n sequences are (T, n, .), so each step is one slab.
     """
 
     def __init__(self, dim, hidden=64, rng=None):
@@ -193,71 +194,132 @@ class RecurrentPredictor:
             "bo": np.zeros(self.dim),
         }
 
-    def _cell(self, x, h):
+    def _input_halves(self, x):
+        """The input halves x @ w[:dim] + b of the forget gate and the
+        candidate, for rows x (r, dim): one GEMM each."""
         p = self.params
-        cat_f = np.concatenate([x, h], axis=1)
-        with np.errstate(over="ignore"):    # exp(-z) = inf is the exact gate 0
-            f = 1.0 / (1.0 + np.exp(-(cat_f @ p["wf"] + p["bf"])))
-        cat_h = np.concatenate([x, f * h], axis=1)
-        g = np.tanh(cat_h @ p["wh"] + p["bh"])
-        h_new = (1.0 - f) * h + f * g
-        return h_new, (x, h, f, g, cat_f, cat_h)
+        f = x @ p["wf"][: self.dim]
+        f += p["bf"]
+        g = x @ p["wh"][: self.dim]
+        g += p["bh"]
+        return f, g
+
+    def _step(self, f, g, h, fh, h_new):
+        """One MGU step from state h, in place. f and g enter holding their
+        input halves and leave as the forget gate and the candidate; fh gets
+        f * h and h_new the next state (1 - f) * h + f * g. Callers ignore
+        overflow: exp(-z) = inf is the exact gate 0."""
+        p = self.params
+        f += h @ p["wf"][self.dim :]
+        np.negative(f, out=f)
+        np.exp(f, out=f)
+        f += 1.0
+        np.divide(1.0, f, out=f)
+        np.multiply(f, h, out=fh)
+        g += fh @ p["wh"][self.dim :]
+        np.tanh(g, out=g)
+        np.subtract(1.0, f, out=h_new)
+        h_new *= h
+        h_new += f * g
+
+    def _forward(self, xs):
+        """Teacher-forced forward over time-major inputs xs (T, n, dim).
+        Returns the states hs (T + 1, n, hidden) with hs[0] = 0, and the
+        forget gates, candidates and gated states f * h of each step, each
+        (T, n, hidden)."""
+        T, n, _ = xs.shape
+        f, g = self._input_halves(xs.reshape(T * n, self.dim))
+        f = f.reshape(T, n, self.hidden)
+        g = g.reshape(T, n, self.hidden)
+        hs = np.zeros((T + 1, n, self.hidden))
+        fh = np.empty_like(f)
+        with np.errstate(over="ignore"):
+            for t in range(T):
+                self._step(f[t], g[t], hs[t], fh[t], hs[t + 1])
+        return hs, f, g, fh
 
     def loss_and_grads(self, batch):
-        """One-step-ahead MSE over a (n, S, dim) batch, with BPTT grads."""
+        """One-step-ahead MSE over a (n, S, dim) batch, with BPTT grads.
+
+        The time loops carry only the recursion: forward, the hidden-state
+        GEMMs and gate arithmetic; backward, dh. Input projections, the
+        readout and every weight gradient are one GEMM over all (S-1)·n rows.
+        """
         batch = np.asarray(batch, dtype=np.float64)
         n, S, dim = batch.shape
         if S < 3:
             raise InputError("sequences must have length >= 3")
         p = self.params
-        h = np.zeros((n, self.hidden))
-        caches, preds = [], []
-        for t in range(S - 1):
-            h, cache = self._cell(batch[:, t], h)
-            caches.append(cache)
-            preds.append(h @ p["wo"] + p["bo"])
-        preds = np.stack(preds, axis=1)
-        resid = preds - batch[:, 1:]
-        norm = n * (S - 1) * dim
+        T, hid = S - 1, self.hidden
+        rows = T * n
+        seq = np.ascontiguousarray(batch.transpose(1, 0, 2))
+        hs, f, g, fh = self._forward(seq[:-1])
+        h_out = hs[1:].reshape(rows, hid)
+        resid = h_out @ p["wo"]
+        resid += p["bo"]
+        resid -= seq[1:].reshape(rows, dim)
+        norm = n * T * dim
         loss = float(np.sum(resid * resid) / norm)
 
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
-        dh_next = np.zeros((n, self.hidden))
-        for t in range(S - 2, -1, -1):
-            x, h_prev, f, g, cat_f, cat_h = caches[t]
-            h_t = (1.0 - f) * h_prev + f * g
-            dy = 2.0 * resid[:, t] / norm
-            grads["wo"] += h_t.T @ dy
-            grads["bo"] += dy.sum(axis=0)
-            dh = dy @ p["wo"].T + dh_next
-            dg = dh * f
-            dzh = dg * (1.0 - g * g)
-            grads["wh"] += cat_h.T @ dzh
-            grads["bh"] += dzh.sum(axis=0)
-            dcat_h = dzh @ p["wh"].T
-            dfh = dcat_h[:, self.dim :]
-            df = dh * (g - h_prev) + dfh * h_prev
-            dh_prev = dh * (1.0 - f) + dfh * f
-            dzf = df * f * (1.0 - f)
-            grads["wf"] += cat_f.T @ dzf
-            grads["bf"] += dzf.sum(axis=0)
-            dh_prev += (dzf @ p["wf"].T)[:, self.dim :]
-            dh_next = dh_prev
+        dy = 2.0 * resid
+        dy /= norm
+        dh_out = (dy @ p["wo"].T).reshape(T, n, hid)
+        # The local slopes of every step, each built once for all steps.
+        keep = 1.0 - f
+        slope_f = f * keep
+        slope_g = 1.0 - g * g
+        slope_g *= f
+        reset = g - hs[:-1]
+        wf_h = p["wf"][dim:].T
+        wh_h = p["wh"][dim:].T
+        dzf = np.empty_like(f)
+        dzh = np.empty_like(g)
+        dh = np.zeros((n, hid))
+        for t in range(T - 1, -1, -1):
+            dh += dh_out[t]
+            np.multiply(dh, slope_g[t], out=dzh[t])
+            dfh = dzh[t] @ wh_h
+            df = dh * reset[t]
+            df += dfh * hs[t]
+            np.multiply(df, slope_f[t], out=dzf[t])
+            dh *= keep[t]
+            dfh *= f[t]
+            dh += dfh
+            dh += dzf[t] @ wf_h
+
+        x = seq[:-1].reshape(rows, dim).T
+        dzf = dzf.reshape(rows, hid)
+        dzh = dzh.reshape(rows, hid)
+        grads = {
+            "wf": np.concatenate([x @ dzf, hs[:-1].reshape(rows, hid).T @ dzf]),
+            "bf": dzf.sum(axis=0),
+            "wh": np.concatenate([x @ dzh, fh.reshape(rows, hid).T @ dzh]),
+            "bh": dzh.sum(axis=0),
+            "wo": h_out.T @ dy,
+            "bo": dy.sum(axis=0),
+        }
         return loss, grads
 
-    def rollout(self, context, n_steps):
-        """Warm up on the context frames, then predict autoregressively."""
-        context = np.atleast_2d(np.asarray(context, dtype=np.float64))
-        h = np.zeros((1, self.hidden))
-        for t in range(context.shape[0]):
-            h, _ = self._cell(context[t : t + 1], h)
-        out = []
+    def rollout(self, contexts, n_steps):
+        """Warm up on each of the contexts (m, ctx, dim), then predict
+        n_steps frames autoregressively; returns (m, n_steps, dim)."""
+        contexts = np.asarray(contexts, dtype=np.float64)
+        if contexts.ndim != 3 or contexts.shape[2] != self.dim:
+            raise InputError(f"expected contexts (m, ctx, {self.dim}), got {contexts.shape}")
         p = self.params
-        for _ in range(n_steps):
-            pred = h @ p["wo"] + p["bo"]
-            out.append(pred[0])
-            h, _ = self._cell(pred, h)
-        return np.stack(out)
+        m = contexts.shape[0]
+        hs = self._forward(np.ascontiguousarray(contexts.transpose(1, 0, 2)))[0]
+        h, h_new, fh = hs[-1], np.empty((m, self.hidden)), np.empty((m, self.hidden))
+        out = np.empty((n_steps, m, self.dim))
+        with np.errstate(over="ignore"):
+            for i in range(n_steps):
+                np.matmul(h, p["wo"], out=out[i])
+                out[i] += p["bo"]
+                if i + 1 < n_steps:
+                    f, g = self._input_halves(out[i])
+                    self._step(f, g, h, fh, h_new)
+                    h, h_new = h_new, h
+        return out.transpose(1, 0, 2)
 
 
 def train_recurrent(pred, sequences, epochs, rng, lr=1e-3, batch=16):

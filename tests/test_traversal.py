@@ -187,13 +187,97 @@ class TestLerpSlerp:
             lerp(a, b, 1.5)
 
 
+def mgu_cell_oracle(p, dim, x, h):
+    """One MGU step on concatenated inputs, as the per-step predictor ran it."""
+    cat_f = np.concatenate([x, h], axis=1)
+    with np.errstate(over="ignore"):
+        f = 1.0 / (1.0 + np.exp(-(cat_f @ p["wf"] + p["bf"])))
+    cat_h = np.concatenate([x, f * h], axis=1)
+    g = np.tanh(cat_h @ p["wh"] + p["bh"])
+    return (1.0 - f) * h + f * g, (x, h, f, g, cat_f, cat_h)
+
+
+def mgu_loss_and_grads_oracle(p, dim, hidden, batch):
+    """Batch-major BPTT with every weight gradient summed step by step."""
+    n, S, _ = batch.shape
+    h = np.zeros((n, hidden))
+    caches, preds = [], []
+    for t in range(S - 1):
+        h, cache = mgu_cell_oracle(p, dim, batch[:, t], h)
+        caches.append(cache)
+        preds.append(h @ p["wo"] + p["bo"])
+    resid = np.stack(preds, axis=1) - batch[:, 1:]
+    norm = n * (S - 1) * dim
+    loss = float(np.sum(resid * resid) / norm)
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dh_next = np.zeros((n, hidden))
+    for t in range(S - 2, -1, -1):
+        x, h_prev, f, g, cat_f, cat_h = caches[t]
+        h_t = (1.0 - f) * h_prev + f * g
+        dy = 2.0 * resid[:, t] / norm
+        grads["wo"] += h_t.T @ dy
+        grads["bo"] += dy.sum(axis=0)
+        dh = dy @ p["wo"].T + dh_next
+        dzh = dh * f * (1.0 - g * g)
+        grads["wh"] += cat_h.T @ dzh
+        grads["bh"] += dzh.sum(axis=0)
+        dfh = (dzh @ p["wh"].T)[:, dim:]
+        df = dh * (g - h_prev) + dfh * h_prev
+        dzf = df * f * (1.0 - f)
+        grads["wf"] += cat_f.T @ dzf
+        grads["bf"] += dzf.sum(axis=0)
+        dh_next = dh * (1.0 - f) + dfh * f + (dzf @ p["wf"].T)[:, dim:]
+    return loss, grads
+
+
+def mgu_rollout_oracle(p, dim, hidden, context, n_steps):
+    """One context (ctx, dim) at a time: warm up, then feed predictions back."""
+    h = np.zeros((1, hidden))
+    for t in range(context.shape[0]):
+        h, _ = mgu_cell_oracle(p, dim, context[t : t + 1], h)
+    out = []
+    for _ in range(n_steps):
+        pred = h @ p["wo"] + p["bo"]
+        out.append(pred[0])
+        h, _ = mgu_cell_oracle(p, dim, pred, h)
+    return np.stack(out)
+
+
 class TestRecurrent:
+    @pytest.mark.parametrize("shape", [(1, 3, 1), (4, 7, 3), (16, 48, 8), (16, 48, 12)])
+    def test_time_major_bptt_matches_per_step_oracle(self, shape):
+        n, S, dim = shape
+        pred = RecurrentPredictor(dim, hidden=64, rng=Rng(14))
+        batch = Rng(15).normal(shape)
+        loss, grads = pred.loss_and_grads(batch)
+        want_loss, want = mgu_loss_and_grads_oracle(pred.params, dim, 64, batch)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert grads.keys() == want.keys()
+        for key in want:
+            assert grads[key].shape == want[key].shape
+            assert np.max(np.abs(grads[key] - want[key])) <= 1e-12 * np.max(np.abs(want[key]))
+
+    @pytest.mark.parametrize("m", [1, 7, 144])
+    def test_batched_rollout_matches_one_context_oracle(self, m):
+        dim, ctx = 8, 8
+        pred = RecurrentPredictor(dim, hidden=64, rng=Rng(16))
+        contexts = Rng(17).normal((m, ctx, dim))
+        got = pred.rollout(contexts, 3)
+        assert got.shape == (m, 3, dim)
+        want = np.stack([mgu_rollout_oracle(pred.params, dim, 64, c, 3) for c in contexts])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rollout_rejects_unbatched_context(self):
+        pred = RecurrentPredictor(2, hidden=4, rng=Rng(18))
+        with pytest.raises(InputError):
+            pred.rollout(np.zeros((4, 2)), 1)
+
     def test_converges_on_constant_sequences(self):
         const = np.tile([0.3, -0.7], (12, 1))
         seqs = [const.copy() for _ in range(8)]
         pred = RecurrentPredictor(2, hidden=16, rng=Rng(4))
         train_recurrent(pred, seqs, epochs=300, rng=Rng(5), lr=3e-3)
-        out = pred.rollout(const[:4], 3)
+        out = pred.rollout(const[None, :4], 3)[0]
         assert np.max(np.abs(out - const[0])) < 5e-2
 
     def test_zero_lr_keeps_parameters(self):
