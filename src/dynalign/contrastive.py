@@ -2,8 +2,7 @@
 
 The encoder compresses inverted latents into a low-dimensional space where
 phase-neighboring frames cluster. Positives come from time proximity within
-a trajectory (trajectory identity is recoverable from exact regime-parameter
-equality) and optionally from regime proximity or class identity.
+a trajectory and optionally from regime proximity or class identity.
 """
 
 from dataclasses import dataclass
@@ -148,24 +147,19 @@ class EncoderModel:
     def params(self):
         return self.net.params
 
-    def features(self, z, cond=None):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if not self.use_condition:
-            return z
-        if cond is None:
-            raise InputError("encoder was built with use_condition=True; pass cond")
-        cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-        return np.concatenate([z, condition_features(cond, self.N_COND_FEATURES)], axis=1)
-
     def forward(self, z, cond=None, want_cache=False):
-        return self.net.forward(self.features(z, cond), want_cache=want_cache)
+        """Embeddings of (n, D) latents; a conditioned encoder also takes the
+        (n, 2) (tau, mu) rows as sinusoidal features."""
+        if self.use_condition:
+            if cond is None:
+                raise InputError("encoder was built with use_condition=True; pass cond")
+            z = np.concatenate([z, condition_features(cond, self.N_COND_FEATURES)], axis=1)
+        return self.net.forward(z, want_cache=want_cache)
 
 
 def embed(encoder, z, cond=None):
-    """Deterministic forward pass of latents (D,) or (n, D)."""
-    single = np.ndim(z) == 1
-    out = encoder.forward(z, cond)
-    return out[0] if single else out
+    """Deterministic forward pass of (n, D) latents."""
+    return encoder.forward(z, cond)
 
 
 def batch_loss_and_grads(encoder, z, positives, tau, cond=None):
@@ -195,90 +189,70 @@ class EmbeddingConfig:
     min_improve: float = 1e-4
 
 
-def _batches_for(traj_order, frame_count, cfg, pick_rng, n_batches):
-    """Yield (traj_subset, start_offsets) index plans for contrastive batches."""
+def _batches_for(trajs, frame_count, cfg, pick_rng, n_batches):
+    """(trajectories, start offsets) index plans for contrastive batches."""
     plans = []
     for b in range(n_batches):
         sub = pick_rng.substream(b)
-        chosen = sub.choice(len(traj_order), size=min(cfg.traj_per_batch, len(traj_order)))
+        chosen = sub.choice(len(trajs), size=min(cfg.traj_per_batch, len(trajs)))
         starts = sub.integers(0, max(frame_count - cfg.window, 1) + 1, size=chosen.size)
-        plans.append(([traj_order[j] for j in chosen], starts))
+        plans.append((trajs[chosen], starts))
     return plans
 
 
-def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None):
+def train_encoder(encoder, z, taus, mus, config, rng, labels=None):
     """Train until the validation loss saturates; returns loss curves.
 
-    z/taus/mus/labels are aligned per-frame arrays; traj_ids group frames
-    into trajectories (defaults to grouping by exact mu value). `config` is
-    an EmbeddingConfig; its d, hidden and use_condition shape the encoder
-    and are not read here.
+    The inputs are trajectory-major: z (n, S, D), taus (n, S), mus and
+    labels (n,). A batch takes min(window, S) consecutive frames from each
+    of a few trajectories, so a window longer than a trajectory takes all
+    of it. `config` is an EmbeddingConfig; its d, hidden and use_condition
+    shape the encoder and are not read here.
     """
-    z = np.asarray(z, dtype=np.float64)
-    taus = np.asarray(taus, dtype=np.float64)
-    mus = np.asarray(mus, dtype=np.float64)
-    if traj_ids is None:
-        _, traj_ids = np.unique(mus, return_inverse=True)
-    traj_ids = np.asarray(traj_ids)
-    uniq = np.unique(traj_ids)
-    if uniq.size < 2:
+    n, S = taus.shape
+    if n < 2:
         raise InputError("need latents from at least 2 trajectories")
+    w = min(config.window, S)
+    delta_t = 2.0 / max(S - 1, 1) if config.delta_t is None else config.delta_t
 
-    frames_by_traj = {t: np.flatnonzero(traj_ids == t) for t in uniq}
-    min_frames = min(len(v) for v in frames_by_traj.values())
-    delta_t = config.delta_t
-    if delta_t is None:
-        delta_t = 2.0 / max(min_frames - 1, 1)
-
-    val_rng = rng.stream("val-split")
-    n_val = split_count(uniq.size, config.val_fraction)
-    val_set = set(uniq[np.sort(val_rng.choice(uniq.size, size=n_val))])
-    train_trajs = [t for t in uniq if t not in val_set]
-    val_trajs = [t for t in uniq if t in val_set]
-    if not train_trajs:
+    n_val = split_count(n, config.val_fraction)
+    val_trajs = np.sort(rng.stream("val-split").choice(n, size=n_val))
+    train_trajs = np.setdiff1d(np.arange(n), val_trajs)
+    if not train_trajs.size:
         raise InputError("validation split swallowed every trajectory")
 
-    cond = np.stack([taus, mus], axis=1) if encoder.use_condition else None
-
     def rows_and_positives(plan):
-        """A plan's frame rows and their positive mask, or None when the
-        batch is degenerate."""
-        traj_subset, starts = plan
-        idx = np.concatenate(
-            [
-                frames_by_traj[t][min(s, len(frames_by_traj[t]) - config.window):][: config.window]
-                for t, s in zip(traj_subset, starts)
-            ]
-        )
+        """A plan's latent rows, condition rows (or None) and positive mask;
+        None when the batch is degenerate."""
+        trajs, starts = plan
+        t = np.repeat(trajs, w)
+        s = (np.minimum(starts, S - w)[:, None] + np.arange(w)).ravel()
         try:
             positives = build_positives(
-                taus[idx], mus[idx], delta_t, config.delta_y,
-                labels=None if labels is None else np.asarray(labels)[idx],
-                class_match=config.class_match, traj_ids=traj_ids[idx],
+                taus[t, s], mus[t], delta_t, config.delta_y,
+                labels=None if labels is None else labels[t],
+                class_match=config.class_match, traj_ids=t,
                 cross_trajectory_time=config.cross_trajectory_time,
             )
         except InputError:
             return None
-        return idx, positives
+        cond = np.stack([taus[t, s], mus[t]], axis=1) if encoder.use_condition else None
+        return z[t, s], cond, positives
 
     def loss_and_grads(plan):
         batch = rows_and_positives(plan)
         if batch is None:
             return None
-        idx, positives = batch
-        return batch_loss_and_grads(
-            encoder, z[idx], positives, config.tau,
-            None if cond is None else cond[idx],
-        )
+        zb, cb, positives = batch
+        return batch_loss_and_grads(encoder, zb, positives, config.tau, cb)
 
     batch_rng = rng.stream("batches")
     n_train_batches = max(2, len(train_trajs) // max(config.traj_per_batch, 1) * 4)
-    val_plans = _batches_for(val_trajs, min_frames, config,
+    val_plans = _batches_for(val_trajs, S, config,
                              rng.stream("val-batches"), max(2, len(val_trajs)))
     # The validation batches are fixed: their rows and positives are built
     # once, and each epoch scores them with the forward pass alone.
-    val_batches = [(z[idx], None if cond is None else cond[idx], positives)
-                   for idx, positives in filter(None, map(rows_and_positives, val_plans))]
+    val_batches = list(filter(None, map(rows_and_positives, val_plans)))
     val_curve = []
     best_val, stale = np.inf, 0
 
@@ -296,7 +270,7 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None, traj_ids=None
 
     curve = fit(
         encoder.params, config.epochs,
-        lambda epoch: _batches_for(train_trajs, min_frames, config,
+        lambda epoch: _batches_for(train_trajs, S, config,
                                    batch_rng.substream(epoch), n_train_batches),
         loss_and_grads, config.lr, "contrastive", stop=saturated,
     )

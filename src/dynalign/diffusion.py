@@ -78,25 +78,18 @@ class DenoiserModel:
         return self.net.params
 
     def features(self, z, t, cond):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         n = z.shape[0]
         t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
-        cond = np.atleast_2d(np.asarray(cond, dtype=np.float64))
-        if cond.shape[1] != self.cond_components:
-            raise ShapeError(
-                f"expected {self.cond_components} condition components, "
-                f"got {cond.shape[1]}"
-            )
-        if cond.shape[0] == 1 and n > 1:
-            cond = np.broadcast_to(cond, (n, cond.shape[1]))
+        cond = np.asarray(cond, dtype=np.float64)
+        if cond.shape != (n, self.cond_components):
+            raise ShapeError(f"condition of shape {cond.shape}; expected "
+                             f"{(n, self.cond_components)}")
         t_feat = sinusoidal_features(t_arr, self.N_TIME_FEATURES, 4.0, 4.0 * self.T)
         y_feat = condition_features(cond, self.N_COND_FEATURES)
         return np.concatenate([z, t_feat, y_feat], axis=1)
 
     def predict(self, z, t, cond):
-        single = np.ndim(z) == 1
-        out = self.net.forward(self.features(z, t, cond))
-        return out[0] if single else out
+        return self.net.forward(self.features(z, t, cond))
 
     def loss_and_grads(self, x0, t, eps, cond, sched):
         """Batch denoising loss (mean squared-norm) and parameter grads."""
@@ -171,27 +164,24 @@ def invert_step(z, eps, t_lo, t_hi, sched):
 
 
 def ddim_sample(model, z, sched, steps, cond):
-    """Run the DDIM recursion from the top noise level down to a state;
-    `z` has shape (D,) or (n, D), `cond` one row per state or one shared."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64)).copy()
+    """Run the DDIM recursion from the top noise level down to states;
+    `z` is (n, D) and `cond` holds one row per state."""
     ts = strided_steps(sched.T, steps)
     for t_hi, t_lo in zip(ts, ts[1:] + [0]):
         eps = model.predict(z, t_hi, cond)
         z = sample_step(z, eps, t_hi, t_lo, sched)
-    return z[0] if z.shape[0] == 1 and np.ndim(cond) <= 1 else z
+    return z
 
 
 def ddim_invert(model, x, cond, sched, steps):
-    """Map a state (batch) to its top-level feature latent."""
-    cond = np.asarray(cond, dtype=np.float64)
-    single = np.ndim(x) == 1
-    z = np.atleast_2d(np.asarray(x, dtype=np.float64)).copy()
+    """Map (n, D) states to their top-level feature latents."""
+    z = np.asarray(x, dtype=np.float64)
     ts = strided_steps(sched.T, steps)
     ascending = [0] + ts[::-1]
     for t_lo, t_hi in zip(ascending, ascending[1:]):
         eps = model.predict(z, t_hi, cond)
         z = invert_step(z, eps, t_lo, t_hi, sched)
-    return z[0] if single else z
+    return z
 
 
 def save_model(model, sched, path):

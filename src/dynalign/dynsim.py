@@ -83,17 +83,14 @@ class Dataset:
 
     def stack(self, split, **per_traj):
         """Flatten a split (every trajectory when None) into aligned per-frame
-        columns x, tau, mu, label and traj, plus each (n_traj, S, ...) array
-        passed by name."""
+        columns x, tau and mu, plus each (n_traj, S, ...) array passed by
+        name."""
         idx = self.indices(split)
         if not idx:
             raise InputError(f"no trajectories in split {split!r}")
-        S = self.xs.shape[1]
-        cols = dict(per_traj, x=self.xs, tau=self.taus)
-        out = {name: col[idx].reshape(-1, *col.shape[2:]) for name, col in cols.items()}
-        out.update(mu=np.repeat(self.mus[idx], S), label=np.repeat(self.labels[idx], S),
-                   traj=np.repeat(np.array(idx, dtype=np.int64), S))
-        return out
+        cols = dict(per_traj, x=self.xs, tau=self.taus,
+                    mu=np.broadcast_to(self.mus[:, None], self.taus.shape))
+        return {name: col[idx].reshape(-1, *col.shape[2:]) for name, col in cols.items()}
 
 
 def class_from_mu(mu, mu_threshold):

@@ -450,16 +450,15 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
     cfg = ws.cfg
 
     def write(path):
-        train = ds.stack("train", z=z_all)
+        train = ds.indices("train")
         enc = contrastive.EncoderModel(
             ds.state_dim, emb_cfg.d, hidden=tuple(emb_cfg.hidden),
             use_condition=emb_cfg.use_condition,
             rng=Rng(cfg.seed).stream(f"{tag}-init"),
         )
         contrastive.train_encoder(
-            enc, train["z"], train["tau"], train["mu"], emb_cfg,
-            Rng(cfg.seed).stream(f"{tag}-train"),
-            labels=train["label"], traj_ids=train["traj"],
+            enc, z_all[train], ds.taus[train], ds.mus[train], emb_cfg,
+            Rng(cfg.seed).stream(f"{tag}-train"), labels=ds.labels[train],
         )
         contrastive.save_encoder(enc, path)
 
@@ -724,7 +723,8 @@ def cmd_simulate(cfg, out_dir, force=False):
 def cmd_pipeline(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
-    c_all = embed_frames(encoder, ds, z_all)
+    with ws.timed("embed"):
+        c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all)
     with ws.timed("evaluate"):
         rows, strips = evaluate_traversal(
@@ -826,7 +826,8 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
     # probe's cached encoder serves it.
     emb = probe_embedding_config(cfg, cfg.analysis.kde_d)
     ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-probe")
-    c_all = embed_frames(encoder, ds, z_all)
+    with ws.timed("embed"):
+        c_all = embed_frames(encoder, ds, z_all)
     table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
 
     with ws.timed("kde"):
@@ -844,12 +845,11 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
             raise NumericError("class-conditional densities are indistinguishable; "
                                "no traversal direction exists")
 
-        train_flat = ds.stack("train")
-        c_flat = _frames(c_all, train)
+        train_flat = ds.stack("train", c=c_all)
 
         def peak_condition(point):
             # Mean (tau, mu) of the frames whose embeddings sit nearest the peak.
-            near = np.argsort(np.linalg.norm(c_flat - point, axis=1), kind="stable")[:16]
+            near = np.argsort(np.linalg.norm(train_flat["c"] - point, axis=1), kind="stable")[:16]
             return float(np.mean(train_flat["tau"][near])), float(np.mean(train_flat["mu"][near]))
 
         tau0, mu0 = peak_condition(kde.m_class0)
@@ -967,6 +967,17 @@ def build_parser():
     return parser
 
 
+def _cli_list(text, flag, convert, ok, what):
+    """The entries of a non-empty comma-separated list flag, each `ok`."""
+    try:
+        values = [convert(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        values = []
+    if not values or not all(map(ok, values)):
+        raise ConfigError(f"must be a comma-separated list of {what}, got {text!r}", field=flag)
+    return values
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -986,10 +997,12 @@ def main(argv=None):
             elif args.command == "classify":
                 result = cmd_classify(cfg, args.out, args.force)
             elif args.command == "kde-edit":
-                etas = [float(x) for x in args.etas.split(",") if x != ""]
+                etas = _cli_list(args.etas, "--etas", float, lambda v: 0.0 <= v <= 1.0,
+                                 "numbers in [0, 1]")
                 result = cmd_kde_edit(cfg, args.out, etas, args.force)
             elif args.command == "sweep-dim":
-                dims = [int(x) for x in args.dims.split(",") if x != ""]
+                dims = _cli_list(args.dims, "--dims", int, lambda v: v >= 1,
+                                 "dimensions of at least 1")
                 result = cmd_sweep_dim(cfg, args.out, dims, args.force)
             elif args.command == "probe-orthogonality":
                 result = cmd_probe_orthogonality(cfg, args.out, args.force)

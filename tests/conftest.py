@@ -31,10 +31,7 @@ def pipelines(tmp_path_factory):
         doc["seed"] = seed
         cfg = harness.config_from_dict(doc)
         ws = harness.Workspace(out, cfg)
-        ds = harness.stage_dataset(ws)
-        model, sched = harness.stage_diffusion(ws, ds)
-        z_all = harness.stage_latents(ws, ds, model, sched)
-        encoder = harness.stage_encoder(ws, ds, z_all, cfg.embedding)
+        ds, model, sched, z_all, encoder = harness._upstream(ws, cfg.embedding, "encoder")
         c_all = harness.embed_frames(encoder, ds, z_all)
         table = harness.stage_table(ws, ds, z_all, c_all)
         rows, _ = harness.evaluate_traversal(

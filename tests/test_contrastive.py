@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dynalign import contrastive
 from dynalign.contrastive import (
     ContrastiveBatch, EmbeddingConfig, EncoderModel, batch_loss_and_grads,
     build_positives, embed, infonce_loss, load_encoder, save_encoder,
@@ -245,28 +246,29 @@ class TestInfonceLoss:
 
 
 def synthetic_latents(seed=0, n_traj=8, S=12, D=6):
+    """Trajectory-major latents (n, S, D), phase times (n, S) and regime
+    parameters (n,) of n_traj noiseless loops."""
     rng = Rng(seed)
-    zs, taus, mus, trajs = [], [], [], []
+    zs, mus = [], []
+    phase = np.linspace(0, 2 * np.pi, S)
+    base = np.stack([np.cos(phase), np.sin(phase)], axis=1)
     for i in range(n_traj):
         mu = 0.2 + 0.8 * rng.substream(i).uniform()
-        phase = np.linspace(0, 2 * np.pi, S)
-        base = np.stack([np.cos(phase), np.sin(phase)], axis=1)
         proj = rng.substream(100 + i).normal((2, D)) * 0.5
         zs.append(base @ proj + mu)
-        taus.append(np.linspace(0, 1, S))
-        mus.append(np.full(S, mu))
-        trajs.append(np.full(S, i))
-    return (np.concatenate(zs), np.concatenate(taus),
-            np.concatenate(mus), np.concatenate(trajs))
+        mus.append(mu)
+    return np.stack(zs), np.tile(np.linspace(0, 1, S), (n_traj, 1)), np.array(mus)
 
 
 class TestTrainEncoder:
     def test_embedding_organizes_neighbors(self):
-        z, taus, mus, trajs = synthetic_latents()
+        z, taus, mus = synthetic_latents()
         enc = EncoderModel(6, 3, hidden=(32, 32), rng=Rng(0).stream("enc"))
         cfg = EmbeddingConfig(epochs=60, traj_per_batch=6, window=6)
-        train_encoder(enc, z, taus, mus, cfg, Rng(0).stream("train"), traj_ids=trajs)
-        c = embed(enc, z)
+        train_encoder(enc, z, taus, mus, cfg, Rng(0).stream("train"))
+        n, S, D = z.shape
+        c = embed(enc, z.reshape(-1, D))
+        trajs, taus = np.repeat(np.arange(n), S), taus.ravel()
         within, across = [], []
         for i in range(len(taus) - 1):
             for j in range(i + 1, min(i + 4, len(taus))):
@@ -278,24 +280,24 @@ class TestTrainEncoder:
         assert np.mean(within) < np.mean(across)
 
     def test_zero_lr_keeps_val_loss_and_params_constant(self):
-        z, taus, mus, trajs = synthetic_latents(1)
+        z, taus, mus = synthetic_latents(1)
         enc = EncoderModel(6, 3, hidden=(16,), rng=Rng(1).stream("enc"))
         before = {k: v.copy() for k, v in enc.params.items()}
         cfg = EmbeddingConfig(epochs=5, lr=0.0, traj_per_batch=6, window=6,
                               patience=100)
-        _, curves = train_encoder(enc, z, taus, mus, cfg, Rng(1).stream("t"), traj_ids=trajs)
+        _, curves = train_encoder(enc, z, taus, mus, cfg, Rng(1).stream("t"))
         # Frozen parameters: the fixed validation batches repeat exactly.
         assert np.ptp(curves["val"]) < 1e-12
         for key in before:
             assert np.array_equal(enc.params[key], before[key])
 
     def test_same_seed_identical_parameters(self):
-        z, taus, mus, trajs = synthetic_latents(2)
+        z, taus, mus = synthetic_latents(2)
 
         def run():
             enc = EncoderModel(6, 3, hidden=(16, 16), rng=Rng(2).stream("enc"))
             cfg = EmbeddingConfig(epochs=10, traj_per_batch=6, window=6)
-            train_encoder(enc, z, taus, mus, cfg, Rng(2).stream("t"), traj_ids=trajs)
+            train_encoder(enc, z, taus, mus, cfg, Rng(2).stream("t"))
             return enc
 
         a, b = run(), run()
@@ -303,12 +305,34 @@ class TestTrainEncoder:
             assert np.array_equal(a.params[key], b.params[key])
 
     def test_needs_two_trajectories(self):
-        z = Rng(0).normal((10, 4))
+        z = Rng(0).normal((1, 10, 4))
         with pytest.raises(InputError):
             train_encoder(
-                EncoderModel(4, 2, hidden=(8,)), z, np.linspace(0, 1, 10),
-                np.full(10, 0.5), EmbeddingConfig(epochs=1), Rng(0),
+                EncoderModel(4, 2, hidden=(8,)), z, np.linspace(0, 1, 10)[None, :],
+                np.full(1, 0.5), EmbeddingConfig(epochs=1), Rng(0),
             )
+
+    @pytest.mark.parametrize("window", [9, 10, 15])
+    def test_window_longer_than_trajectory_takes_all_of_it(self, monkeypatch, window):
+        z, taus, mus = synthetic_latents(3, S=8)
+        seen = []
+
+        def recording(batch_taus, batch_mus, *args, traj_ids=None, **kwargs):
+            seen.append((np.array(batch_taus), np.array(traj_ids)))
+            return build_positives(batch_taus, batch_mus, *args, traj_ids=traj_ids, **kwargs)
+
+        monkeypatch.setattr(contrastive, "build_positives", recording)
+        enc = EncoderModel(6, 3, hidden=(16,), rng=Rng(3).stream("enc"))
+        cfg = EmbeddingConfig(epochs=2, traj_per_batch=3, window=window)
+        train_encoder(enc, z, taus, mus, cfg, Rng(3).stream("t"))
+        assert seen
+        for batch_taus, traj_ids in seen:
+            # Every drawn trajectory (3 per training batch, 1 per validation
+            # batch) contributes its 8 frames, in order.
+            drawn = traj_ids.reshape(-1, 8)
+            assert len(drawn) in (1, 3)
+            assert np.all(drawn == drawn[:, :1])
+            assert np.array_equal(batch_taus.reshape(-1, 8), taus[drawn[:, 0]])
 
 
 class TestEmbed:

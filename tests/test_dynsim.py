@@ -87,16 +87,16 @@ class TestStack:
         for split in ("train", "test", None):
             idx = ds.indices(split)
             flat = ds.stack(split, extra=extra)
+            assert set(flat) == {"x", "tau", "mu", "extra"}
             assert flat["extra"].shape == (len(idx) * S, 3)
-            traj = flat["extra"][:, 0] // 1000
-            frame = (flat["extra"][:, 0] % 1000) // 10
-            assert np.array_equal(traj, flat["traj"])
-            assert np.array_equal(traj, np.repeat(idx, S))
-            assert np.array_equal(frame, np.tile(np.arange(S), len(idx)))
-            assert np.array_equal(flat["x"], ds.xs[flat["traj"], frame.astype(int)])
-            assert np.array_equal(flat["tau"], ds.taus[flat["traj"], frame.astype(int)])
-            assert np.array_equal(flat["label"], ds.labels[flat["traj"]])
-            assert np.array_equal(flat["mu"], ds.mus[flat["traj"]])
+            # Row r is frame r % S of the split's (r // S)-th trajectory.
+            traj = np.repeat(idx, S)
+            frame = np.tile(np.arange(S), len(idx))
+            assert np.array_equal(flat["extra"][:, 0] // 1000, traj)
+            assert np.array_equal((flat["extra"][:, 0] % 1000) // 10, frame)
+            assert np.array_equal(flat["x"], ds.xs[traj, frame])
+            assert np.array_equal(flat["tau"], ds.taus[traj, frame])
+            assert np.array_equal(flat["mu"], ds.mus[traj])
 
     def test_empty_split_rejected(self):
         ds = small_dataset()

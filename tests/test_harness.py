@@ -260,6 +260,7 @@ class TestSweepAndErrors:
         manifest = json.load(open(res["manifest"]))
         stages = ("dataset", "diffusion", "latents", "encoder", "table", "evaluate")
         assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stage_seconds"])
+        assert {f"d{d}/embed" for d in (2, 3)} <= set(manifest["stage_seconds"])
         assert_cpu_and_peak_rss_per_entry(manifest)
         # The second dimension reuses everything upstream of its encoder.
         cache = manifest["stage_cache"]
@@ -306,6 +307,8 @@ class TestStageChain:
         res = COMMANDS[command](tiny_config(), str(tmp_path))
         manifest = json.load(open(res["manifest"]))
         assert name in manifest["stage_seconds"]
+        if command in ("pipeline", "kde-edit"):
+            assert "embed" in manifest["stage_seconds"]
         assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_kde_table_follows_kde_dimension(self, tmp_path):
@@ -486,6 +489,54 @@ class TestCli:
         assert len(proc.stderr.splitlines()) == 1
         assert message in proc.stderr
         assert not list((tmp_path / "runs" / "cache").glob(f"{left}*"))
+
+    @pytest.mark.parametrize("command", ["pipeline", "kde-edit"])
+    def test_floating_point_error_while_embedding_names_the_stage(self, tmp_path, monkeypatch,
+                                                                  capsys, command):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow encountered in matmul")
+
+        monkeypatch.setattr(harness.contrastive, "embed", overflow)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(TINY))
+        code = harness.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: stage embed: overflow encountered in matmul"]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("kde-edit", "--etas", ","),
+        ("kde-edit", "--etas", "abc"),
+        ("kde-edit", "--etas", "0,1.5"),
+        ("sweep-dim", "--dims", "x"),
+        ("sweep-dim", "--dims", "2.5"),
+        ("sweep-dim", "--dims", "2,0"),
+    ])
+    def test_bad_cli_list_exits_2_before_any_stage(self, tmp_path, command, flag, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(TINY))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", command, "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs"), flag, value],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert flag in proc.stderr
+        assert not (tmp_path / "runs").exists()
+
+    def test_window_longer_than_trajectory_runs(self, tmp_path):
+        # The encoder's window then takes each drawn trajectory whole.
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**TINY,
+                                       "dataset": {**TINY["dataset"], "frames_per_traj": 8},
+                                       "embedding": {**TINY["embedding"], "window": 9}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_single_class_classify_exits_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
