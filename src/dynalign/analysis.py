@@ -58,7 +58,6 @@ class SvmConfig:
 @dataclass
 class SvmModel:
     kernel: str
-    lam: float
     w: Optional[np.ndarray] = None        # (d+1,) augmented primal weights (linear)
     coefs: Optional[np.ndarray] = None    # (m,) support coefficients (rbf)
     points: Optional[np.ndarray] = None   # (m, d) stored training points (rbf)
@@ -103,7 +102,7 @@ def train_svm(points, labels, config, rng):
             w *= 1.0 - eta * lam
             if y[i] * (xa[i] @ w) < 1.0:
                 w += eta * y[i] * xa[i]
-        return SvmModel(kernel="linear", lam=lam, w=w)
+        return SvmModel(kernel="linear", w=w)
 
     if config.kernel != "rbf":
         raise ConfigError(f"unknown kernel {config.kernel!r}", field="svm.kernel")
@@ -119,7 +118,7 @@ def train_svm(points, labels, config, rng):
             alpha[i] += 1.0
             ay[i] += y[i]
     coefs = ay / (lam * config.steps)
-    return SvmModel(kernel="rbf", lam=lam, coefs=coefs, points=x, gamma=float(gamma))
+    return SvmModel(kernel="rbf", coefs=coefs, points=x, gamma=float(gamma))
 
 
 def svm_decision(model, points):

@@ -24,13 +24,12 @@ class ContrastiveBatch:
     tau: float
 
 
-def build_positives(taus, mus, delta_t, delta_y=None, labels=None,
-                    class_match=False, traj_ids=None, cross_trajectory_time=False):
+def build_positives(taus, mus, delta_t, delta_y=None, *, traj_ids, labels=None,
+                    class_match=False, cross_trajectory_time=False):
     """Positive mask from time/condition proximity: an (n, n) boolean array
     whose row i marks anchor i's positives; the diagonal is False.
 
-    Same-trajectory frames share mu exactly, so trajectory identity defaults
-    to exact mu equality; pass traj_ids to override. delta_y=None disables
+    Frames of one trajectory share a traj_ids entry; delta_y=None disables
     the regime-proximity clause; class_match adds same-label positives.
     With cross_trajectory_time the phase-window clause spans all
     trajectories, tying equal-phase frames together across regimes.
@@ -40,11 +39,8 @@ def build_positives(taus, mus, delta_t, delta_y=None, labels=None,
     n = taus.size
     if n < 4:
         raise InputError(f"batch of {n} is too small to form positives")
-    if traj_ids is None:
-        same_traj = mus[:, None] == mus[None, :]
-    else:
-        traj_ids = np.asarray(traj_ids)
-        same_traj = traj_ids[:, None] == traj_ids[None, :]
+    traj_ids = np.asarray(traj_ids)
+    same_traj = traj_ids[:, None] == traj_ids[None, :]
     close_t = np.abs(taus[:, None] - taus[None, :]) <= delta_t
     pos = close_t if cross_trajectory_time else (same_traj & close_t)
     if delta_y is not None:

@@ -206,7 +206,7 @@ def load_model(path):
     )
     hidden = tuple(meta["dims"][1:-1])
     model = DenoiserModel(meta["state_dim"], meta["T"], hidden=hidden,
-                          cond_components=int(meta.get("cond_components", 2)))
+                          cond_components=int(meta["cond_components"]))
     for key in model.net.params:
         model.net.params[key] = arrays[key]
     return model, sched

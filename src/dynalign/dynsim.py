@@ -25,15 +25,6 @@ class OscillatorMap:
         self.u = np.asarray(u, dtype=np.float64)
         self.amp = float(amp)
 
-    @classmethod
-    def create(cls, dim, rng, amp=0.1):
-        if dim < 2:
-            raise ConfigError("state dimension must be at least 2", field="D")
-        q, _ = np.linalg.qr(rng.stream("embed-q").normal((dim, 2)))
-        u = rng.stream("embed-u").normal((dim, 2))
-        u *= 2.5 / np.linalg.svd(u, compute_uv=False)[0]
-        return cls(q, u, amp)
-
     def embed(self, s):
         s = np.atleast_2d(np.asarray(s, dtype=np.float64))
         return s @ self.q.T + self.amp * np.tanh(s @ self.u.T)
@@ -63,14 +54,11 @@ class Dataset:
     alphas: np.ndarray              # (n, S) ordering parameter, i/(S-1)
     mus: np.ndarray                 # (n,) regime parameters
     zetas: np.ndarray               # (n,) damping rates
-    omegas: np.ndarray              # (n,) angular frequencies
     labels: np.ndarray              # (n,) int64 class labels
     splits: list                    # per-trajectory "train" / "test"
     seed: int
     mapping: OscillatorMap
-    mu_range: tuple
     mu_threshold: float
-    t_max: float = 1.0
     center: tuple = (0.0, 0.0)      # latent fixed point the cycles orbit
 
     @property
@@ -128,7 +116,10 @@ def generate_oscillator(
         raise ConfigError("state dimension must be at least 2", field="D")
 
     rng = Rng(seed).stream("dynsim")
-    mapping = OscillatorMap.create(D, rng, amp=nonlin_amp)
+    q, _ = np.linalg.qr(rng.stream("embed-q").normal((D, 2)))
+    u = rng.stream("embed-u").normal((D, 2))
+    u *= 2.5 / np.linalg.svd(u, compute_uv=False)[0]
+    mapping = OscillatorMap(q, u, nonlin_amp)
     center = 0.6 * rng.stream("center").normal(2)
     mu_threshold = 0.5 * (lo + hi)
     S = int(frames_per_traj)
@@ -174,14 +165,11 @@ def generate_oscillator(
         alphas=np.tile(alphas, (n_traj, 1)),
         mus=np.array(mus, dtype=np.float64),
         zetas=np.array(zetas, dtype=np.float64),
-        omegas=np.full(n_traj, omega),
         labels=np.array(labels, dtype=np.int64),
         splits=splits,
         seed=int(seed),
         mapping=mapping,
-        mu_range=(lo, hi),
         mu_threshold=float(mu_threshold),
-        t_max=float(t_max),
         center=(float(center[0]), float(center[1])),
     )
 
@@ -218,17 +206,14 @@ def render_latent(s, grid):
 def save_dataset(ds, path):
     meta = {
         "seed": ds.seed,
-        "mu_range": list(ds.mu_range),
         "mu_threshold": ds.mu_threshold,
-        "t_max": ds.t_max,
         "center": list(ds.center),
         "amp": ds.mapping.amp,
         "splits": ds.splits,
         "labels": ds.labels.tolist(),
     }
     arrays = {"q": ds.mapping.q, "u": ds.mapping.u, "mus": ds.mus, "zetas": ds.zetas,
-              "omegas": ds.omegas, "xs": ds.xs, "ss": ds.ss, "taus": ds.taus,
-              "alphas": ds.alphas}
+              "xs": ds.xs, "ss": ds.ss, "taus": ds.taus, "alphas": ds.alphas}
     binio.write_envelope(path, DATASET_MAGIC, meta, arrays)
 
 
@@ -236,13 +221,11 @@ def load_dataset(path):
     meta, arr = binio.read_envelope(path, DATASET_MAGIC)
     return Dataset(
         xs=arr["xs"], ss=arr["ss"], taus=arr["taus"], alphas=arr["alphas"],
-        mus=arr["mus"], zetas=arr["zetas"], omegas=arr["omegas"],
+        mus=arr["mus"], zetas=arr["zetas"],
         labels=np.array(meta["labels"], dtype=np.int64),
         splits=list(meta["splits"]),
         seed=int(meta["seed"]),
         mapping=OscillatorMap(arr["q"], arr["u"], meta["amp"]),
-        mu_range=tuple(meta["mu_range"]),
         mu_threshold=float(meta["mu_threshold"]),
-        t_max=float(meta["t_max"]),
         center=tuple(meta["center"]),
     )

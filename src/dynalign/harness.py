@@ -201,6 +201,9 @@ def validate_config(cfg):
     if not cfg.lifting.k_grid or min(cfg.lifting.k_grid) < 1:
         raise ConfigError("must be a non-empty list of counts of at least 1",
                           field="lifting.k_grid")
+    for path in ("diffusion.hidden", "embedding.hidden"):
+        if any(width < 1 for width in operator.attrgetter(path)(cfg)):
+            raise ConfigError("every layer width must be at least 1", field=path)
     # The encoder needs 2 training trajectories, one of them outside its
     # validation split; the lifting table one outside its holdout.
     n_train = d.n_traj - split_count(d.n_traj, d.test_fraction)
@@ -275,7 +278,14 @@ def load_config(path=None, seed=None):
 # Artifact plumbing
 
 
-def _stage_hash(*parts):
+# The code version of each stage, folded into its key and so into the keys
+# of every stage after it: bump a stage's entry when its code writes other
+# bytes under an unchanged config, and its cached artifacts are recomputed.
+STAGE_VERSION = {"dataset": 1, "diffusion": 1, "latents": 1, "encoder": 2, "table": 1}
+
+
+def _stage_hash(stage, *parts):
+    parts = (stage, STAGE_VERSION[stage]) + parts
     return _hash_text("|".join(json.dumps(p, sort_keys=True, default=str) for p in parts))
 
 
@@ -287,15 +297,15 @@ def _diffusion_key(cfg):
     # Training never reads `steps`; only the latents depend on it.
     fields = dataclasses.asdict(cfg.diffusion)
     del fields["steps"]
-    return _stage_hash(_dataset_key(cfg), fields)
+    return _stage_hash("diffusion", _dataset_key(cfg), fields)
 
 
 def _latents_key(cfg):
-    return _stage_hash(_diffusion_key(cfg), cfg.diffusion.steps)
+    return _stage_hash("latents", _diffusion_key(cfg), cfg.diffusion.steps)
 
 
 def _encoder_key(cfg, emb):
-    return _stage_hash(_latents_key(cfg), dataclasses.asdict(emb))
+    return _stage_hash("encoder", _latents_key(cfg), dataclasses.asdict(emb))
 
 
 LATENTS_MAGIC = b"LAT1"
@@ -486,7 +496,7 @@ def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
                                    _frames(c_all, hold), _frames(z_all, hold))
         lifting.save_table(table, path)
 
-    key = _stage_hash(_encoder_key(cfg, emb_cfg), dataclasses.asdict(cfg.lifting), tag)
+    key = _stage_hash("table", _encoder_key(cfg, emb_cfg), dataclasses.asdict(cfg.lifting), tag)
     return ws.stage(tag, key, write, lifting.load_table)
 
 
@@ -655,7 +665,7 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
             # (n_test, n_targets, dim), like truth
             if method == "recurrent":
                 contexts = test_vecs[:, context_frames].reshape(-1, tcfg.context, truth.shape[2])
-                pred = rec.rollout(contexts, 1).reshape(truth.shape)
+                pred = rec.rollout(contexts).reshape(truth.shape)
             else:
                 pred = np.array([[_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, kf)
                                   for s in targets] for ti in test_idx])

@@ -70,15 +70,10 @@ class AdamState:
     layout; `blocks` lists each key with its slice bounds.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if eps <= 0.0:
-            raise ValueError("eps must be positive")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8    # Kingma & Ba's defaults
+
+    def __init__(self, params, lr=1e-3):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step = 0
         self.blocks = []
         n = 0

@@ -22,7 +22,6 @@ class SplineCurve:
     knots: np.ndarray          # (n,) strictly increasing parameters
     values: np.ndarray         # (n, dim) fitted knot values
     second_derivs: np.ndarray  # (n, dim), zero in the first/last row
-    lam: float
 
     def evaluate(self, alpha):
         """Evaluate the curve; outside the domain the boundary-interval
@@ -69,8 +68,6 @@ def fit_spline(alphas, points, lam):
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
     if alphas.size < 4:
         raise InputError("need at least 4 points to fit a spline")
     if np.any(np.diff(alphas) <= 0.0):
@@ -82,7 +79,7 @@ def fit_spline(alphas, points, lam):
     values = points - lam * (q @ gamma_inner)
     second = np.zeros_like(values)
     second[1:-1] = gamma_inner
-    return SplineCurve(knots=alphas.copy(), values=values, second_derivs=second, lam=float(lam))
+    return SplineCurve(knots=alphas.copy(), values=values, second_derivs=second)
 
 
 def spline_traverse(curve, alpha_s, delta_alpha):
@@ -109,8 +106,6 @@ def stencil_from_window(points, spacing):
     """Estimate derivatives at the last point of a uniform window from the
     one-sided (trailing) 3-point stencil."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
     if points.shape[0] < 3:
         raise InputError("window needs at least 3 points")
     if spacing <= 0.0:
@@ -173,8 +168,8 @@ def slerp(c_a, c_b, t):
 class RecurrentPredictor:
     """Single minimal-gated-unit cell with a linear readout.
 
-    Trained one-step-ahead with teacher forcing; rollout feeds predictions
-    back autoregressively. Both run time-major: the arrays of T time steps
+    Trained one-step-ahead with teacher forcing; rollout predicts the frame
+    after each context. Both run time-major: the arrays of T time steps
     over a batch of n sequences are (T, n, .), so each step is one slab.
     """
 
@@ -194,48 +189,36 @@ class RecurrentPredictor:
             "bo": np.zeros(self.dim),
         }
 
-    def _input_halves(self, x):
-        """The input halves x @ w[:dim] + b of the forget gate and the
-        candidate, for rows x (r, dim): one GEMM each."""
-        p = self.params
-        f = x @ p["wf"][: self.dim]
-        f += p["bf"]
-        g = x @ p["wh"][: self.dim]
-        g += p["bh"]
-        return f, g
-
-    def _step(self, f, g, h, fh, h_new):
-        """One MGU step from state h, in place. f and g enter holding their
-        input halves and leave as the forget gate and the candidate; fh gets
-        f * h and h_new the next state (1 - f) * h + f * g. Callers ignore
-        overflow: exp(-z) = inf is the exact gate 0."""
-        p = self.params
-        f += h @ p["wf"][self.dim :]
-        np.negative(f, out=f)
-        np.exp(f, out=f)
-        f += 1.0
-        np.divide(1.0, f, out=f)
-        np.multiply(f, h, out=fh)
-        g += fh @ p["wh"][self.dim :]
-        np.tanh(g, out=g)
-        np.subtract(1.0, f, out=h_new)
-        h_new *= h
-        h_new += f * g
-
     def _forward(self, xs):
         """Teacher-forced forward over time-major inputs xs (T, n, dim).
         Returns the states hs (T + 1, n, hidden) with hs[0] = 0, and the
         forget gates, candidates and gated states f * h of each step, each
-        (T, n, hidden)."""
+        (T, n, hidden). The input halves x @ w[:dim] + b of both gates are
+        one GEMM each over all T·n rows; the loop runs only the recursion,
+        in place. Overflow is ignored: exp(-z) = inf is the exact gate 0."""
         T, n, _ = xs.shape
-        f, g = self._input_halves(xs.reshape(T * n, self.dim))
-        f = f.reshape(T, n, self.hidden)
-        g = g.reshape(T, n, self.hidden)
+        p, dim = self.params, self.dim
+        x = xs.reshape(T * n, dim)
+        f = (x @ p["wf"][:dim]).reshape(T, n, self.hidden)
+        f += p["bf"]
+        g = (x @ p["wh"][:dim]).reshape(T, n, self.hidden)
+        g += p["bh"]
         hs = np.zeros((T + 1, n, self.hidden))
         fh = np.empty_like(f)
         with np.errstate(over="ignore"):
             for t in range(T):
-                self._step(f[t], g[t], hs[t], fh[t], hs[t + 1])
+                ft, gt, h, fht, h_new = f[t], g[t], hs[t], fh[t], hs[t + 1]
+                ft += h @ p["wf"][dim:]
+                np.negative(ft, out=ft)
+                np.exp(ft, out=ft)
+                ft += 1.0
+                np.divide(1.0, ft, out=ft)
+                np.multiply(ft, h, out=fht)
+                gt += fht @ p["wh"][dim:]
+                np.tanh(gt, out=gt)
+                np.subtract(1.0, ft, out=h_new)
+                h_new *= h
+                h_new += ft * gt
         return hs, f, g, fh
 
     def loss_and_grads(self, batch):
@@ -300,26 +283,14 @@ class RecurrentPredictor:
         }
         return loss, grads
 
-    def rollout(self, contexts, n_steps):
-        """Warm up on each of the contexts (m, ctx, dim), then predict
-        n_steps frames autoregressively; returns (m, n_steps, dim)."""
+    def rollout(self, contexts):
+        """Warm up on each of the contexts (m, ctx, dim) and predict the
+        frame after it; returns (m, dim)."""
         contexts = np.asarray(contexts, dtype=np.float64)
         if contexts.ndim != 3 or contexts.shape[2] != self.dim:
             raise InputError(f"expected contexts (m, ctx, {self.dim}), got {contexts.shape}")
-        p = self.params
-        m = contexts.shape[0]
         hs = self._forward(np.ascontiguousarray(contexts.transpose(1, 0, 2)))[0]
-        h, h_new, fh = hs[-1], np.empty((m, self.hidden)), np.empty((m, self.hidden))
-        out = np.empty((n_steps, m, self.dim))
-        with np.errstate(over="ignore"):
-            for i in range(n_steps):
-                np.matmul(h, p["wo"], out=out[i])
-                out[i] += p["bo"]
-                if i + 1 < n_steps:
-                    f, g = self._input_halves(out[i])
-                    self._step(f, g, h, fh, h_new)
-                    h, h_new = h_new, h
-        return out.transpose(1, 0, 2)
+        return hs[-1] @ self.params["wo"] + self.params["bo"]
 
 
 def train_recurrent(pred, sequences, epochs, rng, lr=1e-3, batch=16):

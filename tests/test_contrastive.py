@@ -108,7 +108,7 @@ class TestBuildPositives:
     def test_infinite_window_single_trajectory(self):
         taus = np.linspace(0, 1, 6)
         mus = np.full(6, 0.4)
-        pos = build_positives(taus, mus, delta_t=np.inf)
+        pos = build_positives(taus, mus, delta_t=np.inf, traj_ids=np.zeros(6, dtype=int))
         for i, p in enumerate(pos):
             assert set(np.flatnonzero(p)) == set(range(6)) - {i}
 
@@ -116,7 +116,7 @@ class TestBuildPositives:
         taus = np.linspace(0, 1, 4)
         mus = np.array([0.3, 0.3, 0.8, 0.8])
         with pytest.raises(InputError, match="degenerate"):
-            build_positives(taus, mus, delta_t=0.0)
+            build_positives(taus, mus, delta_t=0.0, traj_ids=np.array([0, 0, 1, 1]))
 
     def test_matches_brute_force(self):
         rng = Rng(0)
@@ -133,13 +133,14 @@ class TestBuildPositives:
         taus = np.linspace(0, 1, 6)
         mus = np.arange(6, dtype=float)
         labels = np.array([0, 0, 1, 1, 0, 1])
-        pos = build_positives(taus, mus, delta_t=0.0, labels=labels, class_match=True)
+        pos = build_positives(taus, mus, delta_t=0.0, traj_ids=np.arange(6), labels=labels,
+                              class_match=True)
         assert set(np.flatnonzero(pos[0])) == {1, 4}
         assert set(np.flatnonzero(pos[2])) == {3, 5}
 
     def test_small_batch_rejected(self):
         with pytest.raises(InputError):
-            build_positives(np.zeros(3), np.zeros(3), delta_t=1.0)
+            build_positives(np.zeros(3), np.zeros(3), delta_t=1.0, traj_ids=np.zeros(3))
 
 
 class TestInfonceLoss:
@@ -317,7 +318,7 @@ class TestTrainEncoder:
         z, taus, mus = synthetic_latents(3, S=8)
         seen = []
 
-        def recording(batch_taus, batch_mus, *args, traj_ids=None, **kwargs):
+        def recording(batch_taus, batch_mus, *args, traj_ids, **kwargs):
             seen.append((np.array(batch_taus), np.array(traj_ids)))
             return build_positives(batch_taus, batch_mus, *args, traj_ids=traj_ids, **kwargs)
 

@@ -56,7 +56,7 @@ class TestGenerate:
         assert ds.xs.shape == (8, 16, 6) and ds.state_dim == 6
         assert ds.ss.shape == (8, 16, 2)
         assert ds.taus.shape == ds.alphas.shape == (8, 16)
-        for col in (ds.mus, ds.zetas, ds.omegas, ds.labels):
+        for col in (ds.mus, ds.zetas, ds.labels):
             assert col.shape == (8,)
         assert ds.labels.dtype == np.int64
 
@@ -151,7 +151,7 @@ class TestDatasetFile:
         path = tmp_path / "ds.bin"
         dynsim.save_dataset(ds, path)
         back = dynsim.load_dataset(path)
-        for name in ("xs", "ss", "taus", "alphas", "mus", "zetas", "omegas", "labels"):
+        for name in ("xs", "ss", "taus", "alphas", "mus", "zetas", "labels"):
             a, b = getattr(ds, name), getattr(back, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(back.mapping.u, ds.mapping.u)

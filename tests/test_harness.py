@@ -339,6 +339,21 @@ class TestStageChain:
         assert len(list((tmp_path / "cache").glob("diffusion-*.bin"))) == 1
         assert len(list((tmp_path / "cache").glob("latents-*.bin"))) == 2
 
+    @pytest.mark.parametrize("bumped", list(harness.STAGE_VERSION))
+    def test_stage_version_bump_misses_that_stage_and_its_descendants(
+            self, tmp_path, monkeypatch, bumped):
+        def run_chain():
+            ws = harness.Workspace(str(tmp_path), tiny_config())
+            ds, _, _, z_all, encoder = harness._upstream(ws, ws.cfg.embedding, "encoder")
+            harness.stage_table(ws, ds, z_all, harness.embed_frames(encoder, ds, z_all))
+            return ws.stage_cache
+
+        run_chain()
+        monkeypatch.setitem(harness.STAGE_VERSION, bumped, harness.STAGE_VERSION[bumped] + 1)
+        chain = list(harness.STAGE_VERSION)
+        assert run_chain() == {stage: "hit" if i < chain.index(bumped) else "miss"
+                               for i, stage in enumerate(chain)}
+
 
 class TestCli:
     def test_config_schema_command(self):
@@ -418,6 +433,10 @@ class TestCli:
         ({"dataset": {"nonlin_amp": -0.1}}, "dataset.nonlin_amp"),
         # The state map's inverse stops contracting at 2.5 * nonlin_amp = 1.
         ({"dataset": {"nonlin_amp": 0.4}}, "dataset.nonlin_amp"),
+        # Every layer of the denoiser and the encoder is at least one unit wide.
+        ({"diffusion": {"hidden": [-2]}}, "diffusion.hidden"),
+        ({"embedding": {"hidden": [24, 0]}}, "embedding.hidden"),
+        ({"embedding": {"hidden": [-1]}}, "embedding.hidden"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         self._assert_rejected(tmp_path, doc, field)
@@ -442,7 +461,7 @@ class TestCli:
             capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 2
-        assert field in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and field in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runs").exists()
 

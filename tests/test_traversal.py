@@ -262,22 +262,22 @@ class TestRecurrent:
         dim, ctx = 8, 8
         pred = RecurrentPredictor(dim, hidden=64, rng=Rng(16))
         contexts = Rng(17).normal((m, ctx, dim))
-        got = pred.rollout(contexts, 3)
-        assert got.shape == (m, 3, dim)
-        want = np.stack([mgu_rollout_oracle(pred.params, dim, 64, c, 3) for c in contexts])
+        got = pred.rollout(contexts)
+        assert got.shape == (m, dim)
+        want = np.stack([mgu_rollout_oracle(pred.params, dim, 64, c, 1)[0] for c in contexts])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rollout_rejects_unbatched_context(self):
         pred = RecurrentPredictor(2, hidden=4, rng=Rng(18))
         with pytest.raises(InputError):
-            pred.rollout(np.zeros((4, 2)), 1)
+            pred.rollout(np.zeros((4, 2)))
 
     def test_converges_on_constant_sequences(self):
         const = np.tile([0.3, -0.7], (12, 1))
         seqs = [const.copy() for _ in range(8)]
         pred = RecurrentPredictor(2, hidden=16, rng=Rng(4))
         train_recurrent(pred, seqs, epochs=300, rng=Rng(5), lr=3e-3)
-        out = pred.rollout(const[None, :4], 3)[0]
+        out = pred.rollout(const[None, :4])[0]
         assert np.max(np.abs(out - const[0])) < 5e-2
 
     def test_zero_lr_keeps_parameters(self):
