@@ -50,6 +50,19 @@ def write_envelope(path, magic, meta, arrays):
         raise
 
 
+class _Fields(dict):
+    """A decoded metadata or array block: looking up an entry the file does
+    not hold is a FormatError, so every reader rejects an incomplete file
+    the way it rejects a truncated one."""
+
+    def __init__(self, items, what):
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise FormatError(f"missing {self.what} {key!r}")
+
+
 class _Reader:
     def __init__(self, data):
         self.data = data
@@ -70,7 +83,8 @@ class _Reader:
 
 
 def read_envelope(path, magic):
-    """Read an envelope written by write_envelope; returns (meta, arrays)."""
+    """Read an envelope written by write_envelope; returns (meta, arrays),
+    mappings in which a missing entry raises FormatError."""
     with open(path, "rb") as fh:
         data = fh.read()
     rd = _Reader(data)
@@ -87,11 +101,17 @@ def read_envelope(path, magic):
         meta = json.loads(rd.take(meta_len, "metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"corrupt metadata block: {exc}", offset=16) from exc
+    if not isinstance(meta, dict):
+        raise FormatError("metadata block is not a JSON object", offset=16)
     arrays = {}
     n_arrays = rd.u32("array count")
     for _ in range(n_arrays):
         name_len = rd.u32("array name length")
-        name = rd.take(name_len, "array name").decode("utf-8")
+        start = rd.pos
+        try:
+            name = rd.take(name_len, "array name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"corrupt array name: {exc}", offset=start) from exc
         ndim = rd.u32("array rank")
         if ndim > 8:
             raise FormatError(f"implausible array rank {ndim}", offset=rd.pos - 4)
@@ -103,4 +123,4 @@ def read_envelope(path, magic):
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if rd.pos != len(data):
         raise FormatError("trailing bytes after last array", offset=rd.pos)
-    return meta, arrays
+    return _Fields(meta, "metadata field"), _Fields(arrays, "array")

@@ -198,7 +198,7 @@ def save_model(model, sched, path):
 
 def load_model(path):
     meta, arrays = binio.read_envelope(path, CHECKPOINT_MAGIC)
-    beta = arrays.pop("beta")
+    beta = arrays["beta"]
     sched = NoiseSchedule(
         T=int(meta["T"]),
         beta=beta,

@@ -30,16 +30,20 @@ class OscillatorMap:
         return s @ self.q.T + self.amp * np.tanh(s @ self.u.T)
 
     def invert(self, x):
-        """Recover latent coordinates; the map is a contraction, so the
-        fixed-point iteration converges geometrically (100 steps at most)."""
+        """Recover the latent coordinates of (n, D) states; the map is a
+        contraction, so the fixed-point iteration converges geometrically (100
+        steps at most). Each row stops once its own step falls below 1e-14,
+        so a row takes the same steps in any batch that carries it."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         s = x @ self.q
+        active = np.arange(s.shape[0])
         for _ in range(100):
-            s_next = (x - self.amp * np.tanh(s @ self.u.T)) @ self.q
-            if np.max(np.abs(s_next - s)) < 1e-14:
-                s = s_next
+            s_prev = s[active]
+            s_next = (x[active] - self.amp * np.tanh(s_prev @ self.u.T)) @ self.q
+            s[active] = s_next
+            active = active[np.max(np.abs(s_next - s_prev), axis=1) >= 1e-14]
+            if active.size == 0:
                 break
-            s = s_next
         return s
 
 
@@ -56,7 +60,6 @@ class Dataset:
     zetas: np.ndarray               # (n,) damping rates
     labels: np.ndarray              # (n,) int64 class labels
     splits: list                    # per-trajectory "train" / "test"
-    seed: int
     mapping: OscillatorMap
     mu_threshold: float
     center: tuple = (0.0, 0.0)      # latent fixed point the cycles orbit
@@ -167,7 +170,6 @@ def generate_oscillator(
         zetas=np.array(zetas, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
         splits=splits,
-        seed=int(seed),
         mapping=mapping,
         mu_threshold=float(mu_threshold),
         center=(float(center[0]), float(center[1])),
@@ -181,15 +183,19 @@ _CENTER_GAIN = 0.55
 
 
 def render(x, grid, mapping):
-    """Deterministic analytic grayscale field for a state vector, in [0, 1]."""
+    """Deterministic analytic grayscale field for each state, in [0, 1]:
+    (grid, grid) for a (D,) state, (..., grid, grid) for (..., D) states."""
     if grid < 8:
         raise InputError("render grid must be at least 8")
-    s = mapping.invert(x)[0]
-    return render_latent(s, grid)
+    x = np.asarray(x, dtype=np.float64)
+    s = mapping.invert(x.reshape(-1, x.shape[-1]))
+    return render_latent(s.reshape(*x.shape[:-1], 2), grid)
 
 
 def render_latent(s, grid):
-    s1, s2 = float(s[0]), float(s[1])
+    """The field of latent states `s` (..., 2); (..., grid, grid)."""
+    s = np.asarray(s, dtype=np.float64)
+    s1, s2 = s[..., 0, None, None], s[..., 1, None, None]
     ctr = (grid - 1) / 2.0
     sigma = grid / 7.0
     c1 = (ctr * (1.0 + _CENTER_GAIN * s2), ctr * (1.0 - _CENTER_GAIN * s2))
@@ -205,7 +211,6 @@ def render_latent(s, grid):
 
 def save_dataset(ds, path):
     meta = {
-        "seed": ds.seed,
         "mu_threshold": ds.mu_threshold,
         "center": list(ds.center),
         "amp": ds.mapping.amp,
@@ -224,7 +229,6 @@ def load_dataset(path):
         mus=arr["mus"], zetas=arr["zetas"],
         labels=np.array(meta["labels"], dtype=np.int64),
         splits=list(meta["splits"]),
-        seed=int(meta["seed"]),
         mapping=OscillatorMap(arr["q"], arr["u"], meta["amp"]),
         mu_threshold=float(meta["mu_threshold"]),
         center=tuple(meta["center"]),

@@ -12,8 +12,10 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import os
+import re
 import resource
 import sys
 import time
@@ -103,10 +105,17 @@ class ExperimentConfig:
 
 
 def _is_a(value, kind):
-    """JSON type check: a bool is not a number, and an int is a float."""
+    """JSON type check: a bool is not a number, an int is a float, and a
+    float is finite (Python's json reads NaN and Infinity)."""
     if isinstance(value, bool) and kind is not bool:
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _kind_name(kind):
+    return "finite float" if kind is float else kind.__name__
 
 
 def _typed(f, value, path):
@@ -121,13 +130,13 @@ def _typed(f, value, path):
         kind = type(default[0])
         if isinstance(value, list) and all(_is_a(v, kind) for v in value):
             return tuple(value)
-        expected = f"a list of {kind.__name__}"
+        expected = f"a list of {_kind_name(kind)}"
     else:
         optional = default is None
         kind = get_args(f.type)[0] if optional else type(default)
         if (optional and value is None) or _is_a(value, kind):
             return value
-        expected = kind.__name__ + (" or null" if optional else "")
+        expected = _kind_name(kind) + (" or null" if optional else "")
     raise ConfigError(f"expected {expected}, got {value!r}", field=path)
 
 
@@ -152,16 +161,20 @@ def config_from_dict(doc):
 
 
 # One bound per field, as (test, bound): ">" / ">=" a least value, "<" a
-# greatest one, "[)" a (least, below) pair, "in" a set of allowed values. A
-# null value (the field's heuristic) is not checked. tex2 needs a 3-point
-# window, the linear methods a keyframe gap with a frame inside it, a KDE grid
-# two nodes per axis, a contrastive window two frames to pair, the noise
-# schedule two steps and DDIM one stride over them. A trajectory needs a
-# time span to move over, and damping must not grow the orbit. The renderer's
-# fixed-point inverse of the state map contracts only while 2.5 * nonlin_amp
-# < 1 (2.5 is the spectral norm of the map's nonlinear part).
+# greatest one, "[)" a (least, below) pair, "in" a set of allowed values,
+# "re" a pattern the whole text matches. A null value (the field's
+# heuristic) is not checked. The seed seeds numpy's RNG, which takes no
+# negative entropy. The dataset name is a CSV field and part of sweep-dim's
+# "name:d<d>" tags, so it holds no comma, quote or line break. tex2 needs a
+# 3-point window, the linear methods a keyframe gap with a frame inside it, a
+# KDE grid two nodes per axis, a contrastive window two frames to pair, the
+# noise schedule two steps and DDIM one stride over them. A trajectory needs
+# a time span to move over, and damping must not grow the orbit. The
+# renderer's fixed-point inverse of the state map contracts only while
+# 2.5 * nonlin_amp < 1 (2.5 is the spectral norm of the map's nonlinear part).
 _BOUNDS = {
-    "render_grid": (">=", 8), "dataset.n_traj": (">=", 2),
+    "seed": (">=", 0), "render_grid": (">=", 8),
+    "dataset.name": ("re", r"[A-Za-z0-9_.-]+"), "dataset.n_traj": (">=", 2),
     "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
     "dataset.t_max": (">", 0), "dataset.zeta_max": (">=", 0),
     "dataset.nonlin_amp": ("[)", (0, 0.4)),
@@ -186,6 +199,8 @@ _COMPARE = {
     "<": (operator.lt, "below {}"),
     "[)": (lambda value, b: b[0] <= value < b[1], "at least {0[0]} and below {0[1]}"),
     "in": (lambda value, allowed: value in allowed, "one of {}"),
+    "re": (lambda value, pattern: re.fullmatch(pattern, value) is not None,
+           "a name matching {}"),
 }
 
 
@@ -257,10 +272,10 @@ def config_schema():
 
 def load_config(path=None, seed=None):
     """Read and validate a config file (defaults when `path` is None); a
-    seed override changes no bounded field, so it needs no second check."""
-    if path is None:
-        cfg = config_from_dict({})
-    else:
+    seed override takes the place of the document's seed before the one
+    check."""
+    doc = {}
+    if path is not None:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -268,10 +283,9 @@ def load_config(path=None, seed=None):
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        cfg = config_from_dict(doc)
-    if seed is not None:
-        cfg.seed = int(seed)
-    return cfg
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": int(seed)}
+    return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -587,54 +601,80 @@ def _target_frames(tcfg, S):
     return np.array(kf), [s for s in range(start, S - 1, tcfg.target_stride) if s not in kf]
 
 
-def _predict(method, vecs, alphas, s_star, tcfg, kf):
-    """Reconstruct one unobserved frame.
+def _predict_targets(method, vecs, alphas, targets, tcfg, kf, rec):
+    """Reconstruct every target frame of every trajectory of `vecs`
+    (n, S, dim) at once; returns (n, n_targets, dim). All trajectories share
+    the knots `alphas`.
 
     Linear methods interpolate between the keyframes flanking the target
     (their anchor-to-anchor usage); the smoothing spline imputes the frame
-    from every other frame of the trajectory; the Taylor stencils work one
-    step ahead from the dense trailing window, as local traversal operators
-    do (the recurrent baseline too, batched in `evaluate_traversal`).
+    from every other frame of the trajectory; the Taylor stencils and the
+    recurrent baseline work one step ahead from the dense trailing window,
+    as local traversal operators do.
     """
-    d_alpha = float(alphas[1] - alphas[0])
+    n, S, dim = vecs.shape
+
+    def trailing(width):
+        # Each target's dense trailing window: (n, n_targets, width, dim).
+        return np.take(vecs, targets[:, None] + np.arange(-width, 0), axis=1)
+
     if method in ("lerp", "slerp"):
-        left = kf[kf < s_star][-1]
-        right = kf[kf > s_star][0]
-        frac = (alphas[s_star] - alphas[left]) / (alphas[right] - alphas[left])
+        pos = np.searchsorted(kf, targets)
+        left, right = kf[pos - 1], kf[pos]
+        frac = (alphas[targets] - alphas[left]) / (alphas[right] - alphas[left])
+        a, b = np.take(vecs, left, axis=1), np.take(vecs, right, axis=1)
         if method == "lerp":
-            return traversal.lerp(vecs[left], vecs[right], frac)
-        try:
-            return traversal.slerp(vecs[left], vecs[right], frac)
-        except InputError:
-            return traversal.lerp(vecs[left], vecs[right], frac)
+            return traversal.lerp(a, b, frac)
+        # slerp stays per row: a row whose endpoints it rejects (zero or
+        # antiparallel) falls back to lerp alone.
+        out = np.empty_like(a)
+        for i, j in np.ndindex(n, len(targets)):
+            try:
+                out[i, j] = traversal.slerp(a[i, j], b[i, j], frac[j])
+            except InputError:
+                out[i, j] = traversal.lerp(a[i, j], b[i, j], frac[j])
+        return out
     if method == "spline":
-        observed = np.arange(len(vecs)) != s_star
-        curve = traversal.fit_spline(alphas[observed], vecs[observed], tcfg.lam)
-        return traversal.spline_traverse(curve, float(alphas[s_star]), 0.0)
+        # One solve per target: the leave-one-out knots are the same for
+        # every trajectory, whose coordinates are the right-hand sides.
+        out = np.empty((n, len(targets), dim))
+        for j, s in enumerate(targets):
+            observed = np.arange(S) != s
+            points = vecs[:, observed].transpose(1, 0, 2).reshape(S - 1, n * dim)
+            curve = traversal.fit_spline(alphas[observed], points, tcfg.lam)
+            out[:, j] = traversal.spline_traverse(curve, float(alphas[s]), 0.0).reshape(n, -1)
+        return out
     if method in ("tex1", "tex2"):
-        window = vecs[s_star - tcfg.tex_window : s_star]
-        stencil = traversal.stencil_from_window(window, d_alpha)
+        stencil = traversal.stencil_from_window(trailing(tcfg.tex_window),
+                                                float(alphas[1] - alphas[0]))
         return traversal.tex_extrapolate(stencil, 1 if method == "tex1" else 2)
+    if method == "recurrent":
+        contexts = trailing(tcfg.context).reshape(-1, tcfg.context, dim)
+        return rec.rollout(contexts).reshape(n, len(targets), dim)
     raise ValueError(f"unknown method {method!r}")
 
 
 def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
     """Fit and score every traversal operator in every space; `c_all` holds
-    the embedded frames, (n_traj, S, d). Z and C predictions are rendered
-    (C's lifted to Z first) and scored against the true frames."""
+    the embedded frames, (n_traj, S, d). Each (space, method) predicts every
+    (test trajectory, target) pair in one batch. Z and C predictions are
+    rendered (C's lifted to Z first), one sampling and one render per space,
+    and scored against the true frames."""
     tcfg = cfg.traversal
     test_idx = ds.indices("test")
     train_idx = ds.indices("train")
+    alphas = ds.alphas[test_idx[0]]
+    if np.any(ds.alphas[test_idx] != alphas):
+        raise InputError("test trajectories differ in their ordering parameters")
     kf, targets = _target_frames(tcfg, z_all.shape[1])
-    # Each target's dense trailing window, (n_targets, context).
-    context_frames = np.array(targets)[:, None] + np.arange(-tcfg.context, 0)
+    targets = np.array(targets)
     n_pred = len(test_idx) * len(targets)
     n_render = min(tcfg.render_targets_per_traj, len(targets))
     at = np.arange(n_render) * max(1, len(targets) // n_render)
     # Rendered frames are trajectory-major: (test trajectory, target) rows.
-    render_frames = np.array(targets)[at]
-    true_imgs = [dynsim.render(ds.xs[ti, s], cfg.render_grid, ds.mapping)
-                 for ti in test_idx for s in render_frames]
+    render_frames = targets[at]
+    true_imgs = dynsim.render(ds.xs[np.ix_(test_idx, render_frames)], cfg.render_grid,
+                              ds.mapping).reshape(-1, cfg.render_grid, cfg.render_grid)
     conds = diffusion.condition_columns(ds.taus[np.ix_(test_idx, render_frames)].ravel(),
                                         np.repeat(ds.mus[test_idx], n_render),
                                         model.cond_components)
@@ -661,14 +701,19 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
             methods.append("spline")
         test_vecs = vecs_all[test_idx]
         truth = test_vecs[:, targets]
-        for method in methods:
-            # (n_test, n_targets, dim), like truth
-            if method == "recurrent":
-                contexts = test_vecs[:, context_frames].reshape(-1, tcfg.context, truth.shape[2])
-                pred = rec.rollout(contexts).reshape(truth.shape)
-            else:
-                pred = np.array([[_predict(method, vecs_all[ti], ds.alphas[ti], s, tcfg, kf)
-                                  for s in targets] for ti in test_idx])
+        # (n_test, n_targets, dim) each, like truth
+        preds = [_predict_targets(m, test_vecs, alphas, targets, tcfg, kf, rec) for m in methods]
+        if space != "PCA":
+            # Every method's render targets in one sampling and one render:
+            # (method, test trajectory, target) rows.
+            z_hat = np.concatenate([pred[:, at].reshape(-1, pred.shape[2]) for pred in preds])
+            if space == "C":
+                z_hat = lifting.lift_many(table, z_hat)
+            x_hat = diffusion.ddim_sample(model, z_hat, sched, cfg.diffusion.steps,
+                                          cond=np.tile(conds, (len(methods), 1)))
+            imgs = dynsim.render(x_hat, cfg.render_grid, ds.mapping).reshape(
+                len(methods), *true_imgs.shape)
+        for i, (method, pred) in enumerate(zip(methods, preds)):
             err = metrics.rmse(pred, truth)
             rows.append(row(cfg, space, method, "rmse", err, n_pred))
             rows.append(row(cfg, space, method, "rmse_norm", err / scale, n_pred))
@@ -676,16 +721,11 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
             rows.append(row(cfg, space, method, "tae", tae, len(test_idx), tae_std))
             if space == "PCA":
                 continue
-            z_hat = pred[:, at].reshape(-1, pred.shape[2])
-            if space == "C":
-                z_hat = lifting.lift_many(table, z_hat)
-            x_hat = diffusion.ddim_sample(model, z_hat, sched, cfg.diffusion.steps, cond=conds)
-            imgs = [dynsim.render(x, cfg.render_grid, ds.mapping) for x in x_hat]
             for metric, score in (("psnr", metrics.psnr), ("ssim", metrics.ssim)):
-                vals = [score(img, true, 1.0) for img, true in zip(imgs, true_imgs)]
+                vals = score(imgs[i], true_imgs, 1.0)
                 rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
-                                len(vals), float(np.std(vals))))
-            strips[f"{space}-{method}"] = hstack_images(imgs[:n_render])
+                                vals.size, float(np.std(vals))))
+            strips[f"{space}-{method}"] = hstack_images(imgs[i][:n_render])
 
         # Geometric alignment: per test trajectory, the best planar view of
         # the space's curve against the true latent cycle.

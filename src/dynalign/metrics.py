@@ -24,33 +24,47 @@ def rmse(pred, truth):
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
+def _image_means(x):
+    """Mean over all entries of an image or signal; over the last two axes,
+    per leading index, of a stack of images (ndim > 2)."""
+    return np.mean(x, axis=None if x.ndim <= 2 else (-2, -1))
+
+
+def _scores(values):
+    """A float for one image or signal, the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def psnr(a, b, max_value=1.0):
-    """Peak signal-to-noise ratio in dB, capped at 100."""
+    """Peak signal-to-noise ratio in dB, capped at 100: a float for 1-D or
+    2-D inputs, an array over the leading axes of (..., h, w) image stacks."""
     if max_value <= 0.0:
         raise InputError("max_value must be positive")
     p, t = _aligned(a, b)
-    mse = float(np.mean((p - t) ** 2))
-    if mse < 1e-10:
-        return PSNR_CAP_DB
-    return float(min(10.0 * np.log10(max_value**2 / mse), PSNR_CAP_DB))
+    mse = _image_means((p - t) ** 2)
+    with np.errstate(divide="ignore"):   # a zero error is capped below
+        db = np.minimum(10.0 * np.log10(max_value**2 / mse), PSNR_CAP_DB)
+    return _scores(np.where(mse < 1e-10, PSNR_CAP_DB, db))
 
 
 def _window_sums(img, w):
-    # Sliding-window sums via 2-D cumulative sums (stride 1), written into
-    # a zero-bordered table so that c[i, j] sums img[:i, :j].
-    h, wd = img.shape
-    c = np.zeros((h + 1, wd + 1))
-    np.cumsum(img, axis=0, out=c[1:, 1:])
-    np.cumsum(c[1:, 1:], axis=1, out=c[1:, 1:])
-    return c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
+    # Sliding-window sums over the last two axes via 2-D cumulative sums
+    # (stride 1), written into a zero-bordered table so that c[..., i, j]
+    # sums img[..., :i, :j].
+    *lead, h, wd = img.shape
+    c = np.zeros((*lead, h + 1, wd + 1))
+    np.cumsum(img, axis=-2, out=c[..., 1:, 1:])
+    np.cumsum(c[..., 1:, 1:], axis=-1, out=c[..., 1:, 1:])
+    return c[..., w:, w:] - c[..., :-w, w:] - c[..., w:, :-w] + c[..., :-w, :-w]
 
 
 def ssim(a, b, dynamic_range=1.0, window=8):
-    """Mean structural similarity over uniform stride-1 windows."""
+    """Mean structural similarity over uniform stride-1 windows: a float for
+    2-D images, an array over the leading axes of (..., h, w) image stacks."""
     p, t = _aligned(a, b)
-    if p.ndim != 2:
+    if p.ndim < 2:
         raise InputError("ssim expects 2-D images")
-    if p.shape[0] < window or p.shape[1] < window:
+    if p.shape[-2] < window or p.shape[-1] < window:
         raise InputError(f"image smaller than the {window}x{window} window")
     c1 = (0.01 * dynamic_range) ** 2
     c2 = (0.03 * dynamic_range) ** 2
@@ -63,7 +77,7 @@ def ssim(a, b, dynamic_range=1.0, window=8):
     score = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
-    return float(np.mean(score))
+    return _scores(_image_means(score))
 
 
 def total_abs_error(pred_trajs, truth_trajs):

@@ -96,7 +96,7 @@ def spline_traverse(curve, alpha_s, delta_alpha):
 
 @dataclass
 class TexStencil:
-    points: np.ndarray    # (m, dim) consecutive samples; the last is the expansion point
+    points: np.ndarray    # (..., m, dim) consecutive samples; the last is the expansion point
     spacing: float
     cdot: np.ndarray      # first-derivative estimate at the last point
     cddot: np.ndarray     # second-derivative estimate at the last point
@@ -104,24 +104,27 @@ class TexStencil:
 
 def stencil_from_window(points, spacing):
     """Estimate derivatives at the last point of a uniform window from the
-    one-sided (trailing) 3-point stencil."""
+    one-sided (trailing) 3-point stencil. `points` is (..., m, dim): any
+    leading axes hold independent windows."""
     points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] < 3:
+    if points.ndim < 2 or points.shape[-2] < 3:
         raise InputError("window needs at least 3 points")
     if spacing <= 0.0:
         raise InputError("window spacing must be positive")
     d = float(spacing)
-    cdot = (3.0 * points[-1] - 4.0 * points[-2] + points[-3]) / (2.0 * d)
-    cddot = (points[-1] - 2.0 * points[-2] + points[-3]) / d**2
+    last, prev, first = points[..., -1, :], points[..., -2, :], points[..., -3, :]
+    cdot = (3.0 * last - 4.0 * prev + first) / (2.0 * d)
+    cddot = (last - 2.0 * prev + first) / d**2
     return TexStencil(points=points, spacing=d, cdot=cdot, cddot=cddot)
 
 
 def tex_extrapolate(window, order):
-    """Taylor step of one spacing past the window's last point."""
+    """Taylor step of one spacing past the window's last point; (..., dim)
+    for a stencil over (..., m, dim) windows."""
     if order not in (1, 2):
         raise InputError("order must be 1 or 2")
     ds = window.spacing
-    out = window.points[-1] + window.cdot * ds
+    out = window.points[..., -1, :] + window.cdot * ds
     if order == 2:
         out = out + 0.5 * window.cddot * ds**2
     return out
@@ -132,10 +135,14 @@ def tex_extrapolate(window, order):
 
 
 def lerp(c_a, c_b, t):
-    if not 0.0 <= t <= 1.0:
+    """(1 - t) c_a + t c_b for (..., dim) endpoints; `t` is a scalar or an
+    array that broadcasts against the endpoints' leading axes."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise InputError("interpolation parameter must lie in [0, 1]")
     a = np.asarray(c_a, dtype=np.float64)
     b = np.asarray(c_b, dtype=np.float64)
+    t = t[..., None]
     return (1.0 - t) * a + t * b
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynalign import dynsim
+from dynalign import binio, dynsim
 from dynalign.errors import ConfigError, FormatError, InputError, NumericError
 
 
@@ -144,6 +144,17 @@ class TestRender:
         with pytest.raises(Exception):
             dynsim.render(ds.xs[0, 0], 4, ds.mapping)
 
+    def test_batch_matches_each_state(self):
+        # The zero state's inverse converges at the first step, the others
+        # take many: each row stops at its own step, as when drawn alone.
+        ds = small_dataset()
+        states = np.concatenate([ds.xs[:2, ::3], np.zeros((2, 1, ds.state_dim))], axis=1)
+        batched = dynsim.render(states, 16, ds.mapping)
+        loop = np.array([[dynsim.render(x, 16, ds.mapping) for x in row] for row in states])
+        assert batched.shape == (2, 7, 16, 16)
+        assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+        assert np.array_equal(batched[:, -1], np.zeros((2, 16, 16)))
+
 
 class TestDatasetFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -158,6 +169,17 @@ class TestDatasetFile:
         assert back.splits == ds.splits
         assert back.mu_threshold == ds.mu_threshold
         assert np.array_equal(back.mapping.q, ds.mapping.q)
+
+    def test_artifact_carrying_a_seed_still_loads(self, tmp_path):
+        # Dataset files written before the seed was dropped hold it in their
+        # metadata; it is read past.
+        ds = small_dataset(seed=4)
+        path = tmp_path / "ds.bin"
+        dynsim.save_dataset(ds, path)
+        meta, arrays = binio.read_envelope(path, dynsim.DATASET_MAGIC)
+        binio.write_envelope(path, dynsim.DATASET_MAGIC, {**meta, "seed": 4}, arrays)
+        back = dynsim.load_dataset(path)
+        assert np.array_equal(back.xs, ds.xs) and back.splits == ds.splits
 
     def test_truncated_file_reports_offset(self, tmp_path):
         ds = small_dataset()

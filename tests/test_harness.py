@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from dynalign import binio, harness
-from dynalign.errors import ConfigError, FormatError
+from dynalign import binio, harness, traversal
+from dynalign.errors import ConfigError, FormatError, InputError
 
 
 TINY = {
@@ -32,11 +32,11 @@ TINY = {
 # Another numpy or BLAS build may round the last bits differently.
 RECORDED_NUMPY = "2.4.6"
 TINY_OUTPUT_DIGESTS = {
-    "pipeline": "943042db53a8597afafe34307156996d9740fc4ee8b0507339c168bd673b7079",
+    "pipeline": "d958551613d03ac9fb01085982be29d9614a430ae03fafe21d8fbdef5fd732bf",
     "classify": "e407355909f34674ce8e25946f750e97a57df1dc7e949027cb9f5ac356ba4759",
     "kde-edit": "9b9bf710b334d9a73192692d37aff3dc66e4dc0f804a9af7da05009887bfceb2",
     "probe-orthogonality": "a5b6bd63da4eaab8ab53559ff25da9809708784626fb9dfd590a3098b3ecf4c7",
-    "sweep-dim": "cff37bce2e6682b90ae5ec95746443af2b4e52088a3daf42c0f7b5ce106dcf2b",
+    "sweep-dim": "b70db8fa629922e4c22797a27772b466cf5abe3318b65c060aae2a57841010cc",
 }
 # CLI children fail on a numpy floating-point warning, as the tests do.
 CLI_ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
@@ -229,6 +229,23 @@ class TestPipelineSmall:
             path = os.path.join(res["run_dir"], f"manifest-{command}.json")
             assert json.load(open(path))["command"] == command
 
+    def test_rows_keep_their_order_and_strips_their_names(self, result):
+        # Space, then method, then rmse, rmse_norm, tae (psnr, ssim where
+        # the space is rendered), then the alignment row.
+        res, _ = result
+        expect, strips = [], ["truth"]
+        for space in ("Z", "C", "PCA"):
+            expect.append((space, "all", "space_scale"))
+            methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"] + (
+                ["spline"] if space != "Z" else [])
+            scored = ["rmse", "rmse_norm", "tae"] + (["psnr", "ssim"] if space != "PCA" else [])
+            expect += [(space, m, metric) for m in methods for metric in scored]
+            expect.append((space, "alignment", "procrustes"))
+            strips += [f"{space}-{m}" for m in methods] if space != "PCA" else []
+        assert [(r["space"], r["method"], r["metric"]) for r in res["rows"]] == expect
+        written = sorted(os.listdir(os.path.join(res["run_dir"], "strips")))
+        assert written == sorted(f"{name}.pgm" for name in strips)
+
     def test_commands_do_not_mutate_dataset_file(self, result):
         res, out = result
         cfg = tiny_config()
@@ -237,6 +254,70 @@ class TestPipelineSmall:
         before = open(ds_path, "rb").read()
         harness.cmd_classify(cfg, str(out))
         assert open(ds_path, "rb").read() == before
+
+
+def predict_one_oracle(method, vecs, alphas, s_star, tcfg, kf):
+    """One target frame of one trajectory, as the per-target scoring made it."""
+    if method in ("lerp", "slerp"):
+        left, right = kf[kf < s_star][-1], kf[kf > s_star][0]
+        frac = (alphas[s_star] - alphas[left]) / (alphas[right] - alphas[left])
+        try:
+            op = traversal.lerp if method == "lerp" else traversal.slerp
+            return op(vecs[left], vecs[right], frac)
+        except InputError:
+            return traversal.lerp(vecs[left], vecs[right], frac)
+    if method == "spline":
+        observed = np.arange(len(vecs)) != s_star
+        curve = traversal.fit_spline(alphas[observed], vecs[observed], tcfg.lam)
+        return traversal.spline_traverse(curve, float(alphas[s_star]), 0.0)
+    window = vecs[s_star - tcfg.tex_window : s_star]
+    stencil = traversal.stencil_from_window(window, float(alphas[1] - alphas[0]))
+    return traversal.tex_extrapolate(stencil, 1 if method == "tex1" else 2)
+
+
+class TestBatchedPrediction:
+    S = 24
+
+    def setup_method(self):
+        self.tcfg = tiny_config(traversal={"lam": 0.2}).traversal
+        self.alphas = np.arange(self.S) / (self.S - 1)
+        kf, targets = harness._target_frames(self.tcfg, self.S)
+        self.kf, self.targets = kf, np.array(targets)
+
+    def predict(self, method, vecs):
+        return harness._predict_targets(method, vecs, self.alphas, self.targets,
+                                        self.tcfg, self.kf, None)
+
+    @pytest.mark.parametrize("method", ["lerp", "slerp", "spline", "tex1", "tex2"])
+    def test_every_pair_matches_the_per_target_oracle(self, method):
+        vecs = np.random.default_rng(5).normal(size=(4, self.S, 3))
+        loop = np.array([[predict_one_oracle(method, v, self.alphas, s, self.tcfg, self.kf)
+                          for s in self.targets] for v in vecs])
+        batched = self.predict(method, vecs)
+        assert batched.flags.c_contiguous
+        assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    def test_slerp_rows_it_rejects_fall_back_to_lerp_alone(self):
+        vecs = np.random.default_rng(6).normal(size=(4, self.S, 3))
+        left, right = self.kf[0], self.kf[1]       # the first target's keyframes
+        vecs[1, left] = 0.0                        # zero norm
+        vecs[2, right] = -3.0 * vecs[2, left]      # antiparallel
+        vecs[3, right] = 2.0 * vecs[3, left] + 1e-9  # near-parallel: slerp takes lerp itself
+        out = self.predict("slerp", vecs)[:, 0]
+        s = self.targets[0]
+        frac = (self.alphas[s] - self.alphas[left]) / (self.alphas[right] - self.alphas[left])
+        lerped = traversal.lerp(vecs[:, left], vecs[:, right], frac)
+        assert np.array_equal(out[1:], lerped[1:])
+        assert np.array_equal(out[0], traversal.slerp(vecs[0, left], vecs[0, right], frac))
+        assert not np.allclose(out[0], lerped[0])
+
+    def test_trajectories_with_other_knots_are_rejected(self, tmp_path):
+        cfg = tiny_config()
+        ws = harness.Workspace(str(tmp_path), cfg)
+        ds = harness.stage_dataset(ws)
+        ds.alphas[ds.indices("test")[-1]] **= 2
+        with pytest.raises(InputError, match="ordering parameters"):
+            harness.evaluate_traversal(cfg, ds, None, None, ds.xs, ds.xs, None, None)
 
 
 def test_spline_in_z_without_pca(tmp_path):
@@ -437,6 +518,11 @@ class TestCli:
         ({"diffusion": {"hidden": [-2]}}, "diffusion.hidden"),
         ({"embedding": {"hidden": [24, 0]}}, "embedding.hidden"),
         ({"embedding": {"hidden": [-1]}}, "embedding.hidden"),
+        # JSON's NaN reads as a float; a seed seeds the RNG; the name is a
+        # CSV field.
+        ({"lifting": {"holdout_fraction": float("nan")}}, "lifting.holdout_fraction"),
+        ({"seed": -1}, "seed"),
+        ({"dataset": {"name": "osc,x"}}, "dataset.name"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         self._assert_rejected(tmp_path, doc, field)
@@ -464,6 +550,38 @@ class TestCli:
         assert len(proc.stderr.splitlines()) == 1 and field in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "simulate", "--seed", "-1",
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "seed" in proc.stderr
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("corrupt", ["array_name", "empty_metadata"])
+    def test_cached_artifact_that_does_not_read_back_exits_2(self, tmp_path, corrupt):
+        from dynalign import dynsim
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(TINY))
+        args = [sys.executable, "-m", "dynalign", "simulate", "--config", str(cfgfile),
+                "--out", str(tmp_path / "runs")]
+        assert subprocess.run(args, capture_output=True, env=CLI_ENV).returncode == 0
+        (path,) = (tmp_path / "runs" / "cache").glob("dataset-*.bin")
+        if corrupt == "array_name":
+            blob = bytearray(path.read_bytes())
+            meta_len = int.from_bytes(blob[8:16], "little")
+            blob[16 + meta_len + 8] = 0xFF       # first byte of the first array name
+            path.write_bytes(bytes(blob))
+        else:
+            _, arrays = binio.read_envelope(path, dynsim.DATASET_MAGIC)
+            binio.write_envelope(path, dynsim.DATASET_MAGIC, {}, arrays)
+        proc = subprocess.run(args, capture_output=True, text=True, env=CLI_ENV)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
     def test_diverging_denoiser_exits_3_before_caching_it(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -728,6 +846,32 @@ class TestBinioEnvelope:
             binio.write_envelope(path, b"TST1", {}, bad)
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
+
+    def test_undecodable_array_name_is_a_format_error(self, tmp_path):
+        path = tmp_path / "f.bin"
+        binio.write_envelope(path, b"TST1", {}, {"ab": np.zeros(2)})
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"ab")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="array name"):
+            binio.read_envelope(path, b"TST1")
+
+    @pytest.mark.parametrize("module,magic,loader", [
+        ("dynsim", "DATASET_MAGIC", "load_dataset"),
+        ("diffusion", "CHECKPOINT_MAGIC", "load_model"),
+        ("contrastive", "CHECKPOINT_MAGIC", "load_encoder"),
+        ("lifting", "TABLE_MAGIC", "load_table"),
+    ])
+    def test_every_loader_rejects_missing_entries(self, tmp_path, module, magic, loader):
+        import importlib
+        mod = importlib.import_module(f"dynalign.{module}")
+        path = tmp_path / "f.bin"
+        binio.write_envelope(path, getattr(mod, magic), {}, {})
+        with pytest.raises(FormatError, match="missing"):
+            getattr(mod, loader)(path)
+        binio.write_envelope(path, getattr(mod, magic), [], {})
+        with pytest.raises(FormatError, match="JSON object"):
+            getattr(mod, loader)(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "f.bin"

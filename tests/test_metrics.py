@@ -100,6 +100,8 @@ class TestSsim:
     def test_too_small_image(self):
         with pytest.raises(InputError):
             ssim(np.zeros((4, 4)), np.zeros((4, 4)))
+        with pytest.raises(InputError):
+            ssim(np.zeros(16), np.zeros(16))
 
     @pytest.mark.parametrize("shape,w", [((8, 8), 8), ((16, 16), 8), ((13, 21), 5)])
     def test_window_sums_equal_padded_cumsum(self, shape, w):
@@ -108,6 +110,30 @@ class TestSsim:
         c = np.pad(np.cumsum(np.cumsum(img, axis=0), axis=1), ((1, 0), (1, 0)))
         expect = c[w:, w:] - c[:-w, w:] - c[w:, :-w] + c[:-w, :-w]
         assert np.array_equal(_window_sums(img, w), expect)
+
+
+class TestImageStacks:
+    """PSNR and SSIM of a (..., h, w) stack: one value per leading index,
+    each what the image alone scores."""
+
+    @pytest.mark.parametrize("score", [psnr, ssim])
+    def test_stack_matches_each_image(self, score):
+        rng = Rng(9)
+        a = rng.uniform(0, 1, (2, 5, 12, 10))
+        b = np.clip(a + 0.2 * rng.normal((2, 5, 12, 10)), 0.0, 1.0)
+        b[0, 1] = a[0, 1]            # an exact match: PSNR's cap, SSIM's 1
+        batched = score(a, b, 1.0)
+        loop = np.array([[score(x, y, 1.0) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        assert batched.shape == (2, 5)
+        assert np.max(np.abs(batched - loop)) <= 1e-12 * np.max(np.abs(loop))
+        assert batched[0, 1] == pytest.approx(100.0 if score is psnr else 1.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (6, 9)])
+    def test_one_signal_or_image_scores_a_float(self, shape):
+        a = Rng(10).uniform(0, 1, shape)
+        assert isinstance(psnr(a, 0.5 * a), float)
+        if len(shape) == 2:
+            assert isinstance(ssim(a, 0.5 * a, window=4), float)
 
 
 class TestTotalAbsError:

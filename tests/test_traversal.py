@@ -185,6 +185,51 @@ class TestLerpSlerp:
         a, b = np.zeros(2), np.ones(2)
         with pytest.raises(InputError):
             lerp(a, b, 1.5)
+        with pytest.raises(InputError):
+            lerp(np.zeros((3, 2)), np.ones((3, 2)), np.array([0.0, np.nan, 1.0]))
+
+
+def assert_matches_per_item(batched, per_item):
+    """A batched form equals its per-item form within 1e-12 of the values'
+    magnitude."""
+    batched, per_item = np.asarray(batched), np.asarray(per_item)
+    assert batched.shape == per_item.shape
+    assert np.max(np.abs(batched - per_item)) <= 1e-12 * np.max(np.abs(per_item))
+
+
+class TestBatchedForms:
+    """Each operator that takes leading batch axes gives, row by row, what
+    it gives one item at a time."""
+
+    def test_lerp_with_one_parameter_per_column(self):
+        rng = Rng(20)
+        a, b = rng.normal((4, 6, 3)), rng.normal((4, 6, 3))
+        t = np.linspace(0.0, 1.0, 6)
+        loop = [[lerp(a[i, j], b[i, j], t[j]) for j in range(6)] for i in range(4)]
+        assert_matches_per_item(lerp(a, b, t), loop)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_tex_stencils_over_window_batches(self, order):
+        windows = Rng(21).normal((3, 5, 4, 2))
+        batched = tex_extrapolate(stencil_from_window(windows, 0.25), order)
+        loop = [[tex_extrapolate(stencil_from_window(w, 0.25), order) for w in row]
+                for row in windows]
+        assert_matches_per_item(batched, loop)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_shared_knot_spline_solves_every_trajectory_at_once(self, lam):
+        # Trajectories sharing the knots fit as the columns of one solve.
+        rng = Rng(22)
+        knots = np.delete(np.arange(12) / 11.0, 5)
+        trajs = rng.normal((7, 11, 3))
+        joint = fit_spline(knots, trajs.transpose(1, 0, 2).reshape(11, 21), lam)
+        batched = spline_traverse(joint, 5 / 11.0, 0.0).reshape(7, 3)
+        loop = [spline_traverse(fit_spline(knots, tr, lam), 5 / 11.0, 0.0) for tr in trajs]
+        assert_matches_per_item(batched, loop)
+
+    def test_stencil_rejects_a_short_batched_window(self):
+        with pytest.raises(InputError):
+            stencil_from_window(np.zeros((4, 2, 3)), 1.0)
 
 
 def mgu_cell_oracle(p, dim, x, h):
