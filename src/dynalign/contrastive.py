@@ -162,7 +162,7 @@ def batch_loss_and_grads(encoder, z, positives, tau, cond=None):
     """InfoNCE loss of one batch plus gradients w.r.t. encoder parameters."""
     out, cache = encoder.forward(z, cond, want_cache=True)
     loss, grad_c = infonce_loss(ContrastiveBatch(out, positives, tau))
-    grads, _ = encoder.net.backward(cache, grad_c)
+    grads = encoder.net.backward(cache, grad_c)
     return loss, grads
 
 

@@ -98,7 +98,7 @@ class DenoiserModel:
         resid = out - eps
         n = x0.shape[0]
         loss = float(np.sum(resid * resid) / n)
-        grads, _ = self.net.backward(cache, 2.0 * resid / n)
+        grads = self.net.backward(cache, 2.0 * resid / n)
         return loss, grads
 
 

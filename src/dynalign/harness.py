@@ -2,9 +2,10 @@
 end-to-end comparisons (traversal benchmark, classification, KDE class
 morphing, dimension sweep, orthogonality probe), and the CLI.
 
-Artifacts are cached per stage under a hash of the configuration fields
-that stage depends on, so reruns and sweeps skip completed work unless
---force is given. Commands are deterministic under a fixed config.
+Artifacts are cached per stage under a key that hashes the stage's code
+version, the configuration fields it reads and the key its upstream stage
+was served under, so reruns and sweeps skip completed work unless --force
+is given. Commands are deterministic under a fixed config.
 """
 
 import argparse
@@ -172,24 +173,32 @@ def config_from_dict(doc):
 # a time span to move over, and damping must not grow the orbit. The
 # renderer's fixed-point inverse of the state map contracts only while
 # 2.5 * nonlin_amp < 1 (2.5 is the spectral norm of the map's nonlinear part).
+# Every training runs at least one epoch at a positive learning rate, and
+# an SVM keeps at least one point of each class.
 _BOUNDS = {
     "seed": (">=", 0), "render_grid": (">=", 8),
     "dataset.name": ("re", r"[A-Za-z0-9_.-]+"), "dataset.n_traj": (">=", 2),
     "dataset.frames_per_traj": (">=", 8), "dataset.state_dim": (">=", 2),
-    "dataset.t_max": (">", 0), "dataset.zeta_max": (">=", 0),
-    "dataset.nonlin_amp": ("[)", (0, 0.4)),
+    "dataset.test_fraction": (">", 0), "dataset.t_max": (">", 0),
+    "dataset.zeta_max": (">=", 0), "dataset.nonlin_amp": ("[)", (0, 0.4)),
     "diffusion.T": (">=", 2), "diffusion.steps": (">=", 1), "diffusion.batch": (">=", 1),
     "diffusion.beta_start": (">", 0), "diffusion.beta_end": ("<", 1),
     "diffusion.condition_on": ("in", (("tau",), ("tau", "mu"))),
+    "diffusion.epochs": (">=", 1), "diffusion.lr": (">", 0),
     "embedding.d": (">=", 1), "embedding.tau": (">", 0),
     "embedding.traj_per_batch": (">=", 1), "embedding.window": (">=", 2),
+    "embedding.epochs": (">=", 1), "embedding.lr": (">", 0), "embedding.patience": (">=", 1),
+    "embedding.min_improve": (">=", 0), "embedding.delta_t": (">=", 0),
+    "embedding.delta_y": (">=", 0), "embedding.val_fraction": (">", 0),
     "traversal.lam": (">=", 0),
     "traversal.keyframe_stride": (">=", 2), "traversal.tex_window": (">=", 3),
     "traversal.context": (">=", 1), "traversal.target_stride": (">=", 1),
-    "traversal.render_targets_per_traj": (">=", 1),
-    "traversal.recurrent_hidden": (">=", 1),
+    "traversal.render_targets_per_traj": (">=", 1), "traversal.recurrent_hidden": (">=", 1),
+    "traversal.recurrent_epochs": (">=", 1), "traversal.recurrent_lr": (">", 0),
     "lifting.kernel": ("in", lifting.KERNELS), "lifting.metric": ("in", lifting.METRICS),
-    "lifting.sigma": (">", 0), "analysis.svm_lam": (">", 0), "analysis.svm_steps": (">=", 1),
+    "lifting.sigma": (">", 0), "lifting.holdout_fraction": (">", 0),
+    "analysis.svm_lam": (">", 0), "analysis.svm_steps": (">=", 1),
+    "analysis.svm_max_points": (">=", 2), "analysis.folds": (">=", 1),
     "analysis.svm_gamma": (">", 0), "analysis.frames_per_traj_class": (">=", 1),
     "analysis.kde_d": (">=", 1), "analysis.kde_bandwidth": (">", 0),
     "analysis.kde_nodes": (">=", 2), "analysis.kde_frames_per_class": (">=", 1),
@@ -292,35 +301,12 @@ def load_config(path=None, seed=None):
 # Artifact plumbing
 
 
-# The code version of each stage, folded into its key and so into the keys
-# of every stage after it: bump a stage's entry when its code writes other
-# bytes under an unchanged config, and its cached artifacts are recomputed.
+# The code version of each kind of stage, folded into its key and so into the
+# keys of every stage after it: bump an entry when its code writes other bytes
+# under an unchanged config, and its cached artifacts are recomputed.
 STAGE_VERSION = {"dataset": 1, "diffusion": 1, "latents": 1, "encoder": 2, "table": 1}
-
-
-def _stage_hash(stage, *parts):
-    parts = (stage, STAGE_VERSION[stage]) + parts
-    return _hash_text("|".join(json.dumps(p, sort_keys=True, default=str) for p in parts))
-
-
-def _dataset_key(cfg):
-    return _stage_hash("dataset", cfg.seed, dataclasses.asdict(cfg.dataset))
-
-
-def _diffusion_key(cfg):
-    # Training never reads `steps`; only the latents depend on it.
-    fields = dataclasses.asdict(cfg.diffusion)
-    del fields["steps"]
-    return _stage_hash("diffusion", _dataset_key(cfg), fields)
-
-
-def _latents_key(cfg):
-    return _stage_hash("latents", _diffusion_key(cfg), cfg.diffusion.steps)
-
-
-def _encoder_key(cfg, emb):
-    return _stage_hash("encoder", _latents_key(cfg), dataclasses.asdict(emb))
-
+# Digits the manifest keeps of a stage record's measurements.
+_RECORD_DIGITS = {"seconds": 3, "cpu_seconds": 3, "peak_rss_mb": 1}
 
 LATENTS_MAGIC = b"LAT1"
 
@@ -333,7 +319,10 @@ def _peak_rss_mb():
 
 
 class Workspace:
-    """Output directory with stage-hashed caching."""
+    """Output directory with keyed stage caching. It keeps one record per
+    cached stage or timed block, `stages[name]`: its wall and CPU seconds,
+    the process's peak RSS after it, and for a cached stage the key it was
+    served under and whether that was a cache "hit" or "miss"."""
 
     def __init__(self, out_dir, cfg, force=False):
         self.cfg = cfg
@@ -342,42 +331,46 @@ class Workspace:
         self.run_dir = os.path.join(out_dir, config_hash(cfg))
         os.makedirs(self.cache, exist_ok=True)
         os.makedirs(self.run_dir, exist_ok=True)
-        self.timings = {}
-        self.cpu_timings = {}
-        self.peak_rss_mb = {}
-        self.stage_cache = {}
+        self.stages = {}
         self.artifacts = []
 
-    def path(self, stage, key, ext="bin"):
-        return os.path.join(self.cache, f"{stage}-{key}.{ext}")
+    def path(self, stage, key):
+        return os.path.join(self.cache, f"{stage}-{key}.bin")
+
+    def key(self, kind, upstream, *parts):
+        """A stage's key, a constructive trace: the hash of its kind's code
+        version, the key this workspace served its `upstream` stage under
+        (none for the dataset) and the config `parts` the stage reads."""
+        above = () if upstream is None else (self.stages[upstream]["key"],)
+        trace = (kind, STAGE_VERSION[kind]) + above + parts
+        return _hash_text("|".join(json.dumps(p, sort_keys=True, default=str) for p in trace))
 
     @contextlib.contextmanager
     def timed(self, name):
-        """Add the wall and CPU seconds of the block to timings[name] and
-        cpu_timings[name], and record the process's peak RSS after it in
-        peak_rss_mb[name]. A floating-point error raised inside (see `main`)
-        leaves as NumericError naming the stage."""
+        """Add the wall and CPU seconds of the block to stages[name], and
+        record the process's peak RSS after it there. A floating-point error
+        raised inside (see `main`) leaves as NumericError naming the stage."""
         start, cpu_start = time.perf_counter(), time.process_time()
         try:
             yield
         except FloatingPointError as exc:
             raise NumericError(f"stage {name}: {exc}") from exc
-        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - start
-        self.cpu_timings[name] = (self.cpu_timings.get(name, 0.0)
-                                  + time.process_time() - cpu_start)
-        self.peak_rss_mb[name] = _peak_rss_mb()
+        record = self.stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
+        record["seconds"] += time.perf_counter() - start
+        record["cpu_seconds"] += time.process_time() - cpu_start
+        record["peak_rss_mb"] = _peak_rss_mb()
 
     def stage(self, name, key, writer, reader):
         """Run or reuse one cached stage; returns the loaded artifact. Its
-        seconds (write and read on a miss, read on a hit) go to timings,
-        and whether it was served from the cache to stage_cache."""
+        record gets its seconds (write and read on a miss, read on a hit),
+        its key, and whether it was served from the cache."""
         path = self.path(name, key)
         with self.timed(name):
             hit = not self.force and os.path.exists(path)
             if not hit:
                 writer(path)
             artifact = reader(path)
-        self.stage_cache[name] = "hit" if hit else "miss"
+        self.stages[name].update(key=key, cache="hit" if hit else "miss")
         self.artifacts.append(path)
         return artifact
 
@@ -387,10 +380,9 @@ class Workspace:
             "config_hash": config_hash(self.cfg),
             "config": config_to_dict(self.cfg),
             "artifacts": sorted(set(self.artifacts)),
-            "stage_seconds": {k: round(v, 3) for k, v in self.timings.items()},
-            "stage_cpu_seconds": {k: round(v, 3) for k, v in self.cpu_timings.items()},
-            "stage_peak_rss_mb": {k: round(v, 1) for k, v in self.peak_rss_mb.items()},
-            "stage_cache": self.stage_cache,
+            "stages": {name: {k: round(v, _RECORD_DIGITS[k]) if k in _RECORD_DIGITS else v
+                              for k, v in record.items()}
+                       for name, record in self.stages.items()},
             "metrics_summary": summary,
         }
         path = os.path.join(self.run_dir, f"manifest-{command}.json")
@@ -411,7 +403,8 @@ def stage_dataset(ws):
         )
         dynsim.save_dataset(ds, path)
 
-    return ws.stage("dataset", _dataset_key(cfg), write, dynsim.load_dataset)
+    key = ws.key("dataset", None, cfg.seed, dataclasses.asdict(cfg.dataset))
+    return ws.stage("dataset", key, write, dynsim.load_dataset)
 
 
 def stage_diffusion(ws, ds):
@@ -428,7 +421,10 @@ def stage_diffusion(ws, ds):
         diffusion.train(model, ds, sched, dc.epochs, dc.batch, rng.stream("train"), lr=dc.lr)
         diffusion.save_model(model, sched, path)
 
-    return ws.stage("diffusion", _diffusion_key(cfg), write, diffusion.load_model)
+    # Training never reads `steps`; only the latents depend on it.
+    fields = {k: v for k, v in dataclasses.asdict(cfg.diffusion).items() if k != "steps"}
+    return ws.stage("diffusion", ws.key("diffusion", "dataset", fields), write,
+                    diffusion.load_model)
 
 
 def stage_latents(ws, ds, model, sched):
@@ -446,7 +442,7 @@ def stage_latents(ws, ds, model, sched):
         _, arrays = binio.read_envelope(path, LATENTS_MAGIC)
         return arrays["z"]
 
-    return ws.stage("latents", _latents_key(cfg), write, read)
+    return ws.stage("latents", ws.key("latents", "diffusion", cfg.diffusion.steps), write, read)
 
 
 def _upstream(ws, emb_cfg, tag):
@@ -486,7 +482,8 @@ def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
         )
         contrastive.save_encoder(enc, path)
 
-    return ws.stage(tag, _encoder_key(cfg, emb_cfg), write, contrastive.load_encoder)
+    key = ws.key("encoder", "latents", dataclasses.asdict(emb_cfg))
+    return ws.stage(tag, key, write, contrastive.load_encoder)
 
 
 def _frames(arr, idx):
@@ -494,12 +491,10 @@ def _frames(arr, idx):
     return arr[idx].reshape(-1, arr.shape[2])
 
 
-def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
-    """kNN lifting table from the embedded frames `c_all` of the encoder
-    trained under `emb_cfg` (the config's embedding section by default),
-    which keys the cache."""
+def stage_table(ws, ds, z_all, c_all, encoder="encoder", tag="table"):
+    """kNN lifting table from the frames `c_all` that this workspace's
+    `encoder` stage embedded; that stage's key is part of the table's."""
     cfg = ws.cfg
-    emb_cfg = emb_cfg or cfg.embedding
 
     def write(path):
         train_idx = ds.indices("train")
@@ -510,8 +505,8 @@ def stage_table(ws, ds, z_all, c_all, emb_cfg=None, tag="table"):
                                    _frames(c_all, hold), _frames(z_all, hold))
         lifting.save_table(table, path)
 
-    key = _stage_hash("table", _encoder_key(cfg, emb_cfg), dataclasses.asdict(cfg.lifting), tag)
-    return ws.stage(tag, key, write, lifting.load_table)
+    return ws.stage(tag, ws.key("table", encoder, dataclasses.asdict(cfg.lifting), tag), write,
+                    lifting.load_table)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +762,7 @@ def cmd_simulate(cfg, out_dir, force=False):
         "state_dim": ds.state_dim,
     }
     manifest = ws.manifest("simulate", summary)
-    return {"dataset": ws.path("dataset", _dataset_key(cfg)), "manifest": manifest}
+    return {"dataset": ws.path("dataset", ws.stages["dataset"]["key"]), "manifest": manifest}
 
 
 def cmd_pipeline(cfg, out_dir, force=False):
@@ -878,7 +873,7 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
     ds, model, sched, z_all, encoder = _upstream(ws, emb, "encoder-probe")
     with ws.timed("embed"):
         c_all = embed_frames(encoder, ds, z_all)
-    table = stage_table(ws, ds, z_all, c_all, emb, tag="table-kde")
+    table = stage_table(ws, ds, z_all, c_all, "encoder-probe", tag="table-kde")
 
     with ws.timed("kde"):
         train = np.array(ds.indices("train"))
@@ -940,13 +935,10 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
         res = cmd_pipeline(sub, out_dir, force=force)
         rows += [dict(r, dataset=tag) for r in res["rows"]]
         # Each dimension's pipeline keeps its own workspace; its manifest's
-        # stage wall and CPU seconds, peak RSS, cache use and artifacts go
-        # into the sweep's, under "d<d>/".
+        # stage records and artifacts go into the sweep's, under "d<d>/".
         with open(res["manifest"]) as fh:
             done = json.load(fh)
-        for mine, theirs in ((ws.timings, "stage_seconds"), (ws.cpu_timings, "stage_cpu_seconds"),
-                             (ws.peak_rss_mb, "stage_peak_rss_mb"), (ws.stage_cache, "stage_cache")):
-            mine.update({f"d{int(d)}/{k}": v for k, v in done[theirs].items()})
+        ws.stages.update({f"d{int(d)}/{k}": v for k, v in done["stages"].items()})
         ws.artifacts += done["artifacts"] + [res["manifest"]]
     return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 

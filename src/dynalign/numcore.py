@@ -323,15 +323,15 @@ class Mlp:
         return (z, cache) if want_cache else z
 
     def backward(self, cache, dout):
-        """Gradients for all parameters plus the input, given d(loss)/d(out)."""
+        """Parameter gradients (not the input's), given d(loss)/d(out)."""
         grads = {}
         delta = np.asarray(dout, dtype=np.float64)
         for i in range(self.n_layers - 1, -1, -1):
             h_in = cache["inputs"][i]
             grads[f"w{i}"] = h_in.T @ delta
             grads[f"b{i}"] = delta.sum(axis=0)
-            delta = delta @ self.params[f"w{i}"].T
             if i > 0:
+                delta = delta @ self.params[f"w{i}"].T
                 # SiLU slope gate * (1 + z * (1 - gate)), built in one buffer.
                 z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
                 slope = np.subtract(1.0, gate)
@@ -339,4 +339,4 @@ class Mlp:
                 slope += 1.0
                 slope *= gate
                 delta *= slope
-        return grads, delta
+        return grads

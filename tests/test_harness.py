@@ -60,16 +60,21 @@ def output_digest(out_dir):
 
 
 def assert_cpu_and_peak_rss_per_entry(manifest):
-    """Every timed entry of a manifest also has CPU seconds and a positive
-    peak RSS in MB, which never falls from one stage of a run to the next."""
-    timed = set(manifest["stage_seconds"])
-    assert set(manifest["stage_cpu_seconds"]) == timed
-    assert set(manifest["stage_peak_rss_mb"]) == timed
-    assert all(v >= 0.0 for v in manifest["stage_cpu_seconds"].values())
-    peaks = manifest["stage_peak_rss_mb"]
+    """Every timed entry of a manifest has wall seconds, CPU seconds and a
+    positive peak RSS in MB, which never falls from one stage of a run to
+    the next."""
+    records = manifest["stages"]
+    assert all({"seconds", "cpu_seconds", "peak_rss_mb"} <= set(r) for r in records.values())
+    assert all(r["cpu_seconds"] >= 0.0 for r in records.values())
+    peaks = {name: r["peak_rss_mb"] for name, r in records.items()}
     assert all(10.0 < v < 1e5 for v in peaks.values())
     chain = [s for s in ("dataset", "diffusion", "latents", "encoder", "table") if s in peaks]
     assert [peaks[s] for s in chain] == sorted(peaks[s] for s in chain)
+
+
+def cache_use(records):
+    """Stage name -> "hit" or "miss" for every cached stage of `records`."""
+    return {name: r["cache"] for name, r in records.items() if "cache" in r}
 
 
 def tiny_config(**overrides):
@@ -204,7 +209,7 @@ class TestPipelineSmall:
 
     def test_artifacts_exist(self, result):
         res, _ = result
-        assert json.load(open(res["manifest"]))["stage_seconds"]
+        assert json.load(open(res["manifest"]))["stages"]
         assert open(res["csv"]).read().startswith("dataset,space,method")
 
     def test_rerun_uses_cache_and_matches_bytes(self, result):
@@ -218,8 +223,8 @@ class TestPipelineSmall:
         res = harness.cmd_pipeline(tiny_config(), str(out))
         manifest = json.load(open(res["manifest"]))
         stages = {"dataset", "diffusion", "latents", "encoder", "table"}
-        assert stages <= set(manifest["stage_seconds"])
-        assert manifest["stage_cache"] == {s: "hit" for s in stages}
+        assert stages <= set(manifest["stages"])
+        assert cache_use(manifest["stages"]) == {s: "hit" for s in stages}
         assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_each_command_keeps_its_manifest(self, result):
@@ -249,8 +254,8 @@ class TestPipelineSmall:
     def test_commands_do_not_mutate_dataset_file(self, result):
         res, out = result
         cfg = tiny_config()
-        ds_path = harness.Workspace(str(out), cfg).path(
-            "dataset", harness._dataset_key(cfg))
+        key = json.load(open(res["manifest"]))["stages"]["dataset"]["key"]
+        ds_path = harness.Workspace(str(out), cfg).path("dataset", key)
         before = open(ds_path, "rb").read()
         harness.cmd_classify(cfg, str(out))
         assert open(ds_path, "rb").read() == before
@@ -340,11 +345,11 @@ class TestSweepAndErrors:
         res = harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [2, 3])
         manifest = json.load(open(res["manifest"]))
         stages = ("dataset", "diffusion", "latents", "encoder", "table", "evaluate")
-        assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stage_seconds"])
-        assert {f"d{d}/embed" for d in (2, 3)} <= set(manifest["stage_seconds"])
+        assert {f"d{d}/{s}" for d in (2, 3) for s in stages} <= set(manifest["stages"])
+        assert {f"d{d}/embed" for d in (2, 3)} <= set(manifest["stages"])
         assert_cpu_and_peak_rss_per_entry(manifest)
         # The second dimension reuses everything upstream of its encoder.
-        cache = manifest["stage_cache"]
+        cache = cache_use(manifest["stages"])
         assert set(cache) == {f"d{d}/{s}" for d in (2, 3) for s in stages[:-1]}
         assert [cache[f"d3/{s}"] for s in stages[:-1]] == ["hit"] * 3 + ["miss"] * 2
         assert set(cache[f"d2/{s}"] for s in stages[:-1]) == {"miss"}
@@ -387,9 +392,9 @@ class TestStageChain:
     def test_manifest_times_the_work_after_the_stages(self, tmp_path, command, name):
         res = COMMANDS[command](tiny_config(), str(tmp_path))
         manifest = json.load(open(res["manifest"]))
-        assert name in manifest["stage_seconds"]
+        assert name in manifest["stages"]
         if command in ("pipeline", "kde-edit"):
-            assert "embed" in manifest["stage_seconds"]
+            assert "embed" in manifest["stages"]
         assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_kde_table_follows_kde_dimension(self, tmp_path):
@@ -404,12 +409,23 @@ class TestStageChain:
                                        ("probe-orthogonality", "kde-edit")])
     def test_kde_edit_and_probe_share_one_encoder(self, tmp_path, order):
         first, second = (COMMANDS[c](tiny_config(), str(tmp_path)) for c in order)
-        used = [json.load(open(r["manifest"]))["stage_cache"]["encoder-probe"]
+        used = [json.load(open(r["manifest"]))["stages"]["encoder-probe"]["cache"]
                 for r in (first, second)]
         assert used == ["miss", "hit"]
         cache = tmp_path / "cache"
         assert len(list(cache.glob("encoder-probe-*.bin"))) == 1
         assert not list(cache.glob("encoder-kde-*"))
+
+    def test_cache_names_and_stage_records_agree(self, tmp_path):
+        # A change to how keys are derived must rename no cache file.
+        for command in ("pipeline", "classify", "kde-edit", "probe-orthogonality"):
+            manifest = json.load(open(COMMANDS[command](tiny_config(), str(tmp_path))["manifest"]))
+            for name, key in ((n, r["key"]) for n, r in manifest["stages"].items() if "cache" in r):
+                assert str(tmp_path / "cache" / f"{name}-{key}.bin") in manifest["artifacts"]
+        assert sorted(os.listdir(tmp_path / "cache")) == [
+            "dataset-ccc0d8e7754e.bin", "diffusion-5d4d50a9261a.bin", "encoder-2b6dbd5c0239.bin",
+            "encoder-classify-fbf4dac40840.bin", "encoder-probe-e8fb49e66f2b.bin",
+            "latents-69fced9ed462.bin", "table-559ec685c9de.bin", "table-kde-0028cb71633b.bin"]
 
     def test_steps_change_reuses_the_denoiser(self, tmp_path):
         for steps in (8, 4):
@@ -427,7 +443,7 @@ class TestStageChain:
             ws = harness.Workspace(str(tmp_path), tiny_config())
             ds, _, _, z_all, encoder = harness._upstream(ws, ws.cfg.embedding, "encoder")
             harness.stage_table(ws, ds, z_all, harness.embed_frames(encoder, ds, z_all))
-            return ws.stage_cache
+            return cache_use(ws.stages)
 
         run_chain()
         monkeypatch.setitem(harness.STAGE_VERSION, bumped, harness.STAGE_VERSION[bumped] + 1)
@@ -523,6 +539,35 @@ class TestCli:
         ({"lifting": {"holdout_fraction": float("nan")}}, "lifting.holdout_fraction"),
         ({"seed": -1}, "seed"),
         ({"dataset": {"name": "osc,x"}}, "dataset.name"),
+        # Every training runs at least one epoch at a positive learning
+        # rate; the early stop waits at least one epoch.
+        ({"diffusion": {"epochs": -1}}, "diffusion.epochs"),
+        ({"diffusion": {"epochs": 0}}, "diffusion.epochs"),
+        ({"embedding": {"epochs": -1}}, "embedding.epochs"),
+        ({"embedding": {"epochs": 0}}, "embedding.epochs"),
+        ({"traversal": {"recurrent_epochs": -1}}, "traversal.recurrent_epochs"),
+        ({"traversal": {"recurrent_epochs": 0}}, "traversal.recurrent_epochs"),
+        ({"diffusion": {"lr": 0}}, "diffusion.lr"),
+        ({"diffusion": {"lr": -1}}, "diffusion.lr"),
+        ({"embedding": {"lr": 0}}, "embedding.lr"),
+        ({"embedding": {"lr": -1}}, "embedding.lr"),
+        ({"traversal": {"recurrent_lr": 0}}, "traversal.recurrent_lr"),
+        ({"traversal": {"recurrent_lr": -1}}, "traversal.recurrent_lr"),
+        ({"embedding": {"patience": -1}}, "embedding.patience"),
+        ({"embedding": {"patience": 0}}, "embedding.patience"),
+        # The contrastive thresholds are distances (a null one keeps its
+        # default), and the early stop's improvement is a decrease.
+        ({"embedding": {"min_improve": -1e-4}}, "embedding.min_improve"),
+        ({"embedding": {"delta_t": -1}}, "embedding.delta_t"),
+        ({"embedding": {"delta_y": -0.05}}, "embedding.delta_y"),
+        ({"analysis": {"folds": 0}}, "analysis.folds"),
+        # An SVM's point cap keeps one point per class.
+        ({"analysis": {"svm_max_points": 0}}, "analysis.svm_max_points"),
+        ({"analysis": {"svm_max_points": 1}}, "analysis.svm_max_points"),
+        ({"dataset": {"test_fraction": -0.5}}, "dataset.test_fraction"),
+        ({"dataset": {"test_fraction": 0}}, "dataset.test_fraction"),
+        ({"embedding": {"val_fraction": -0.1}}, "embedding.val_fraction"),
+        ({"lifting": {"holdout_fraction": -0.1}}, "lifting.holdout_fraction"),
     ])
     def test_mistyped_or_out_of_range_field_exits_2(self, tmp_path, doc, field):
         self._assert_rejected(tmp_path, doc, field)
