@@ -63,6 +63,14 @@ class _Fields(dict):
         raise FormatError(f"missing {self.what} {key!r}")
 
 
+def checked_shape(array, shape, what):
+    """`array` if its shape is `shape`, else FormatError naming `what`: an
+    array that disagrees with the metadata or data it was stored for."""
+    if array.shape != tuple(shape):
+        raise FormatError(f"{what} of shape {array.shape}, expected {tuple(shape)}")
+    return array
+
+
 class _Reader:
     def __init__(self, data):
         self.data = data

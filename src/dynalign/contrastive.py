@@ -264,12 +264,13 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None):
         stale += 1
         return stale >= config.patience
 
-    curve = fit(
-        encoder.params, config.epochs,
-        lambda epoch: _batches_for(train_trajs, S, config,
-                                   batch_rng.substream(epoch), n_train_batches),
-        loss_and_grads, config.lr, "contrastive", stop=saturated,
-    )
+    with encoder.net.reused_buffers():
+        curve = fit(
+            encoder.params, config.epochs,
+            lambda epoch: _batches_for(train_trajs, S, config,
+                                       batch_rng.substream(epoch), n_train_batches),
+            loss_and_grads, config.lr, "contrastive", stop=saturated,
+        )
     return encoder, {"train": curve, "val": val_curve}
 
 
@@ -290,6 +291,6 @@ def load_encoder(path):
         meta["state_dim"], meta["embed_dim"], hidden=hidden,
         use_condition=bool(meta["use_condition"]),
     )
-    for key in enc.net.params:
-        enc.net.params[key] = arrays[key]
+    for key, p in enc.net.params.items():
+        enc.net.params[key] = binio.checked_shape(arrays[key], p.shape, f"array {key!r}")
     return enc

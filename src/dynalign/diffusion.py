@@ -16,6 +16,16 @@ from .numcore import Mlp, Rng, condition_features, fit, shuffled_batches, sinuso
 
 CHECKPOINT_MAGIC = b"DNZ1"
 
+# DDIM carries its rows in max(1, n // DDIM_BLOCK_ROWS) blocks of near-equal
+# size, so every block of a large batch holds 512 to 1023 rows and a smaller
+# batch is one block. With OpenBLAS, the denoiser's GEMMs give every row of
+# a block of 512 rows or more the bits the full batch gives it, while 128- or
+# 256-row blocks move nearly every row (a small-matrix kernel takes the
+# 256 -> 12 output layer): so the blocks change no byte, and a frame's
+# latent does not depend on which other frames share its batch, as long as
+# that batch holds 512 rows or more. A short remainder block would move bits.
+DDIM_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -77,15 +87,22 @@ class DenoiserModel:
     def params(self):
         return self.net.params
 
-    def features(self, z, t, cond):
-        n = z.shape[0]
-        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
+    def time_features(self, t):
+        """Sinusoidal features of the steps `t`, one row per step."""
+        return sinusoidal_features(t, self.N_TIME_FEATURES, 4.0, 4.0 * self.T)
+
+    def condition_rows(self, cond, n):
+        """`cond` as float64, checked to hold n (tau, mu)-style rows."""
         cond = np.asarray(cond, dtype=np.float64)
         if cond.shape != (n, self.cond_components):
             raise ShapeError(f"condition of shape {cond.shape}; expected "
                              f"{(n, self.cond_components)}")
-        t_feat = sinusoidal_features(t_arr, self.N_TIME_FEATURES, 4.0, 4.0 * self.T)
-        y_feat = condition_features(cond, self.N_COND_FEATURES)
+        return cond
+
+    def features(self, z, t, cond):
+        n = z.shape[0]
+        t_feat = self.time_features(np.broadcast_to(np.asarray(t, dtype=np.float64), (n,)))
+        y_feat = condition_features(self.condition_rows(cond, n), self.N_COND_FEATURES)
         return np.concatenate([z, t_feat, y_feat], axis=1)
 
     def predict(self, z, t, cond):
@@ -129,7 +146,9 @@ def train(model, ds, sched, epochs, batch, rng, lr=1e-3):
         eps = noise_rng.substream(key).normal((idx.size, x.shape[1]))
         return model.loss_and_grads(x[idx], t, eps, cond[idx], sched)
 
-    return model, fit(model.params, epochs, batches, loss_and_grads, lr, "diffusion")
+    with model.net.reused_buffers():
+        curve = fit(model.params, epochs, batches, loss_and_grads, lr, "diffusion")
+    return model, curve
 
 
 def strided_steps(T, steps):
@@ -163,25 +182,47 @@ def invert_step(z, eps, t_lo, t_hi, sched):
     return np.sqrt(a_hi) * (z - np.sqrt(1.0 - a_lo) * eps) / root + np.sqrt(1.0 - a_hi) * eps
 
 
+def _ddim(model, z, cond, sched, transitions, step):
+    """Carry (n, D) rows `z` through the DDIM `transitions`, one block of
+    rows after another (see DDIM_BLOCK_ROWS). Each (a, b) pair predicts the
+    noise at step max(a, b) and moves the rows by step(z, eps, a, b, sched).
+    A block's network input is built once, its condition features with it;
+    each step rewrites its z columns and broadcasts one row of time
+    features."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != model.state_dim:
+        raise ShapeError(f"expected states (*, {model.state_dim}), got {z.shape}")
+    n, D = z.shape
+    cond = model.condition_rows(cond, n)
+    t_rows = model.time_features([max(a, b) for a, b in transitions])
+    c0 = D + model.N_TIME_FEATURES          # first condition-feature column
+    n_blocks = max(1, n // DDIM_BLOCK_ROWS)
+    bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    out = np.empty_like(z)
+    with model.net.reused_buffers():
+        for lo, hi in zip(bounds, bounds[1:]):
+            x = np.empty((hi - lo, model.net.dims[0]))
+            x[:, c0:] = condition_features(cond[lo:hi], model.N_COND_FEATURES)
+            zb = z[lo:hi]
+            for (a, b), t_row in zip(transitions, t_rows):
+                x[:, :D] = zb
+                x[:, D:c0] = t_row
+                zb = step(zb, model.net.forward(x), a, b, sched)
+            out[lo:hi] = zb
+    return out
+
+
 def ddim_sample(model, z, sched, steps, cond):
     """Run the DDIM recursion from the top noise level down to states;
     `z` is (n, D) and `cond` holds one row per state."""
     ts = strided_steps(sched.T, steps)
-    for t_hi, t_lo in zip(ts, ts[1:] + [0]):
-        eps = model.predict(z, t_hi, cond)
-        z = sample_step(z, eps, t_hi, t_lo, sched)
-    return z
+    return _ddim(model, z, cond, sched, list(zip(ts, ts[1:] + [0])), sample_step)
 
 
 def ddim_invert(model, x, cond, sched, steps):
     """Map (n, D) states to their top-level feature latents."""
-    z = np.asarray(x, dtype=np.float64)
-    ts = strided_steps(sched.T, steps)
-    ascending = [0] + ts[::-1]
-    for t_lo, t_hi in zip(ascending, ascending[1:]):
-        eps = model.predict(z, t_hi, cond)
-        z = invert_step(z, eps, t_lo, t_hi, sched)
-    return z
+    ascending = [0] + strided_steps(sched.T, steps)[::-1]
+    return _ddim(model, x, cond, sched, list(zip(ascending, ascending[1:])), invert_step)
 
 
 def save_model(model, sched, path):
@@ -198,7 +239,7 @@ def save_model(model, sched, path):
 
 def load_model(path):
     meta, arrays = binio.read_envelope(path, CHECKPOINT_MAGIC)
-    beta = arrays["beta"]
+    beta = binio.checked_shape(arrays["beta"], (int(meta["T"]),), "array 'beta'")
     sched = NoiseSchedule(
         T=int(meta["T"]),
         beta=beta,
@@ -207,6 +248,6 @@ def load_model(path):
     hidden = tuple(meta["dims"][1:-1])
     model = DenoiserModel(meta["state_dim"], meta["T"], hidden=hidden,
                           cond_components=int(meta["cond_components"]))
-    for key in model.net.params:
-        model.net.params[key] = arrays[key]
+    for key, p in model.net.params.items():
+        model.net.params[key] = binio.checked_shape(arrays[key], p.shape, f"array {key!r}")
     return model, sched

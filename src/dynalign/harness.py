@@ -440,7 +440,7 @@ def stage_latents(ws, ds, model, sched):
 
     def read(path):
         _, arrays = binio.read_envelope(path, LATENTS_MAGIC)
-        return arrays["z"]
+        return binio.checked_shape(arrays["z"], ds.xs.shape, "latents")
 
     return ws.stage("latents", ws.key("latents", "diffusion", cfg.diffusion.steps), write, read)
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import binio
-from .errors import InputError, NumericError
+from .errors import FormatError, InputError, NumericError
 from .metrics import rmse
 from .numcore import sq_dists
 
@@ -103,16 +103,36 @@ def _weights(dist, kernel, sigma):
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _nearest(dist, k):
+    """The first k columns of a stable argsort of each row of `dist`: the k
+    nearest references ordered by (distance, reference index), so ties go
+    to the lowest index. A partial selection finds them; a row whose k-th
+    distance ties a reference the selection left out is sorted in full."""
+    if k >= dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")
+    nbr = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    nbr.sort(axis=1)
+    near = np.take_along_axis(dist, nbr, axis=1)
+    kth = near.max(axis=1, keepdims=True)
+    cut = np.count_nonzero(dist == kth, axis=1) > np.count_nonzero(near == kth, axis=1)
+    nbr = np.take_along_axis(nbr, np.argsort(near, axis=1, kind="stable"), axis=1)
+    if cut.any():
+        nbr[cut] = np.argsort(dist[cut], axis=1, kind="stable")[:, :k]
+    return nbr
+
+
 def _lifts(table, queries, ks):
     """Yield (latents, weights, neighbours) of a query batch for each
-    neighbour count in `ks`, from one stable sort of its distances."""
+    neighbour count in `ks`, from one selection of its max(ks) nearest."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if not np.all(np.isfinite(queries)):
         raise InputError("query contains non-finite entries")
     dist = _distances(table, queries)
-    # Stable sort keeps ties deterministic (lowest reference index wins), and
-    # its first k columns are the k nearest, in order, for every k.
-    order = np.argsort(dist, axis=1, kind="stable")
+    # Selected 64 query rows at a time, so the index arrays stay small.
+    k_max = min(max(ks), dist.shape[1])
+    order = np.empty((dist.shape[0], k_max), dtype=np.intp)
+    for lo in range(0, dist.shape[0], 64):
+        order[lo : lo + 64] = _nearest(dist[lo : lo + 64], k_max)
     for k in ks:
         nbr = order[:, :k]
         w = _weights(np.take_along_axis(dist, nbr, axis=1), table.kernel, table.sigma)
@@ -170,6 +190,12 @@ def save_table(table, path):
 
 def load_table(path):
     meta, arrays = binio.read_envelope(path, TABLE_MAGIC)
-    return KnnTable(c_ref=arrays["c_ref"], z_ref=arrays["z_ref"],
-                    kernel=meta["kernel"], metric=meta["metric"],
-                    k=int(meta["k"]), sigma=float(meta["sigma"]))
+    c_ref, z_ref = arrays["c_ref"], arrays["z_ref"]
+    if c_ref.ndim != 2 or z_ref.ndim != 2 or c_ref.shape[0] != z_ref.shape[0]:
+        raise FormatError(f"table of {c_ref.shape} embeddings and {z_ref.shape} latents; "
+                          "expected one latent row per embedding row")
+    k = int(meta["k"])
+    if not 1 <= k <= c_ref.shape[0]:
+        raise FormatError(f"table k = {k} outside [1, {c_ref.shape[0]}]")
+    return KnnTable(c_ref=c_ref, z_ref=z_ref, kernel=meta["kernel"], metric=meta["metric"],
+                    k=k, sigma=float(meta["sigma"]))

@@ -6,7 +6,9 @@ All floating point is 64-bit. Gradients are hand-derived; grad_check is the
 safety net that keeps them honest.
 """
 
+import contextlib
 import hashlib
+import math
 
 import numpy as np
 
@@ -256,9 +258,10 @@ def sq_dists(a, b):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _sigmoid(z):
-    """The SiLU gate 1 / (1 + exp(-z)), built in one buffer."""
-    s = np.negative(z)
+def _sigmoid(z, out=None):
+    """The SiLU gate 1 / (1 + exp(-z)), built in one buffer (`out`, or a
+    fresh one)."""
+    s = np.negative(z, out=out)
     with np.errstate(over="ignore"):    # exp(-z) = inf is the exact gate 0
         np.exp(s, out=s)
     s += 1.0
@@ -290,35 +293,64 @@ class Mlp:
                 w = rng.normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
             self.params[f"w{i}"] = w
             self.params[f"b{i}"] = np.zeros(fan_out)
+        self._work = None
 
     @property
     def n_layers(self):
         return len(self.dims) - 1
 
+    @contextlib.contextmanager
+    def reused_buffers(self):
+        """Within the block (one training or DDIM run), forward and backward
+        write into work arrays kept per role, each grown to the largest row
+        count seen, and reuse them call after call; on exit they are
+        released. A forward's output and cache, and backward's gradients,
+        then last only until the next call of the same kind, which a
+        training step or a DDIM step never outlives. Outside the block
+        every call allocates fresh arrays."""
+        outer, self._work = self._work, {}
+        try:
+            yield
+        finally:
+            self._work = outer
+
+    def _array(self, role, *shape):
+        """An uninitialised float64 array of `shape` for `role`: a view of
+        that role's work array inside reused_buffers, else a fresh one."""
+        if self._work is None:
+            return np.empty(shape)
+        size = math.prod(shape)
+        flat = self._work.get(role)
+        if flat is None or flat.size < size:
+            flat = self._work[role] = np.empty(size)
+        return flat[:size].reshape(shape)
+
     def forward(self, x, want_cache=False):
         """Output rows for input rows `x`; with want_cache, also what
-        backward needs. Without it, each layer's arrays are dropped before
-        the next layer allocates, so at most two hidden-width arrays live."""
+        backward needs. Without it, two hidden-width arrays take turns as
+        each layer's output, with one gate scratch beside them."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ShapeError(f"expected input (*, {self.dims[0]}), got {x.shape}")
+        n = x.shape[0]
         cache = {"inputs": [x], "pre": [], "gates": []} if want_cache else None
         h = x
         for i in range(self.n_layers):
-            z = h @ self.params[f"w{i}"]
+            width = self.dims[i + 1]
+            z = self._array(("pre", i) if want_cache else ("act", i % 2), n, width)
+            np.matmul(h, self.params[f"w{i}"], out=z)
             z += self.params[f"b{i}"]
             del h
             if i == self.n_layers - 1:
                 break
-            gate = _sigmoid(z)
+            gate = _sigmoid(z, out=self._array(("gate", i) if want_cache else "gate", n, width))
             if want_cache:
-                h = z * gate
+                h = np.multiply(z, gate, out=self._array(("out", i), n, width))
                 cache["pre"].append(z)
                 cache["gates"].append(gate)
                 cache["inputs"].append(h)
             else:
-                gate *= z
-                h = gate
+                h = np.multiply(z, gate, out=z)
             del z, gate
         return (z, cache) if want_cache else z
 
@@ -326,15 +358,16 @@ class Mlp:
         """Parameter gradients (not the input's), given d(loss)/d(out)."""
         grads = {}
         delta = np.asarray(dout, dtype=np.float64)
+        n = delta.shape[0]
         for i in range(self.n_layers - 1, -1, -1):
-            h_in = cache["inputs"][i]
-            grads[f"w{i}"] = h_in.T @ delta
-            grads[f"b{i}"] = delta.sum(axis=0)
+            h_in, w = cache["inputs"][i], self.params[f"w{i}"]
+            grads[f"w{i}"] = np.matmul(h_in.T, delta, out=self._array(("dw", i), *w.shape))
+            grads[f"b{i}"] = np.sum(delta, axis=0, out=self._array(("db", i), w.shape[1]))
             if i > 0:
-                delta = delta @ self.params[f"w{i}"].T
+                delta = np.matmul(delta, w.T, out=self._array(("delta", i % 2), n, w.shape[0]))
                 # SiLU slope gate * (1 + z * (1 - gate)), built in one buffer.
                 z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
-                slope = np.subtract(1.0, gate)
+                slope = np.subtract(1.0, gate, out=self._array("slope", n, w.shape[0]))
                 slope *= z
                 slope += 1.0
                 slope *= gate

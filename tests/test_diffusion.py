@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dynalign import diffusion, dynsim
+from conftest import recorded_build
+from dynalign import binio, diffusion, dynsim
 from dynalign.diffusion import (
     DenoiserModel, ddim_invert, ddim_sample, forward_noise, invert_step,
     load_model, make_schedule, sample_step, save_model, strided_steps, train,
 )
-from dynalign.errors import ConfigError, NumericError
+from dynalign.errors import ConfigError, FormatError, NumericError, ShapeError
 from dynalign.numcore import Rng, grad_check
 
 
@@ -251,6 +252,87 @@ class TestCheckpoint:
         z = Rng(0).normal((2, 4))
         cond = np.zeros((2, 2))
         assert np.array_equal(model.predict(z, 7, cond), back.predict(z, 7, cond))
+
+    @pytest.mark.parametrize("key,shape", [("w1", (24, 20)), ("b0", (23,)), ("beta", (39,))],
+                             ids=["w1", "b0", "beta"])
+    def test_array_that_disagrees_with_the_metadata_is_a_format_error(self, tmp_path, key,
+                                                                      shape):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(T=40), make_schedule(40), path)
+        meta, arrays = binio.read_envelope(path, diffusion.CHECKPOINT_MAGIC)
+        arrays = dict(arrays, **{key: np.zeros(shape)})
+        binio.write_envelope(path, diffusion.CHECKPOINT_MAGIC, meta, arrays)
+        with pytest.raises(FormatError, match=f"array '{key}' of shape"):
+            load_model(path)
+
+
+def block_model():
+    """A denoiser of the trained shape [60 -> 256 x 4 -> 12], its output
+    layer initialised in full so that every layer's bits show."""
+    model = DenoiserModel(12, 1000, rng=Rng(0).stream("m"))
+    model.net.params["w4"][:] = 0.1 * Rng(0).stream("out").normal((256, 12))
+    return model
+
+
+def full_batch_ddim(model, z, cond, sched, steps, invert):
+    """DDIM as one loop over the whole batch: each step predicts every row."""
+    ts = strided_steps(sched.T, steps)
+    if invert:
+        ascending = [0] + ts[::-1]
+        for t_lo, t_hi in zip(ascending, ascending[1:]):
+            z = invert_step(z, model.predict(z, t_hi, cond), t_lo, t_hi, sched)
+    else:
+        for t_hi, t_lo in zip(ts, ts[1:] + [0]):
+            z = sample_step(z, model.predict(z, t_hi, cond), t_hi, t_lo, sched)
+    return z
+
+
+class TestRowBlocks:
+    STEPS = 4
+
+    def run(self, model, z, cond, sched, invert):
+        if invert:
+            return ddim_invert(model, z, cond, sched, self.STEPS)
+        return ddim_sample(model, z, sched, self.STEPS, cond)
+
+    @recorded_build
+    @pytest.mark.parametrize("invert", [True, False], ids=["invert", "sample"])
+    @pytest.mark.parametrize("n", [511, 512, 1023, 1024, 2304])
+    def test_rows_equal_the_full_batch_loop(self, n, invert):
+        model, sched, rng = block_model(), make_schedule(1000), Rng(n)
+        z = rng.stream("z").normal((n, 12))
+        cond = rng.stream("c").uniform(0, 1, (n, 2))
+        want = full_batch_ddim(model, z, cond, sched, self.STEPS, invert)
+        assert np.array_equal(self.run(model, z, cond, sched, invert), want)
+
+    @recorded_build
+    @pytest.mark.parametrize("invert", [True, False], ids=["invert", "sample"])
+    def test_any_subset_of_512_rows_or_more_gives_the_full_batch_rows(self, invert):
+        model, sched, rng = block_model(), make_schedule(1000), Rng(17)
+        z = rng.stream("z").normal((2304, 12))
+        cond = rng.stream("c").uniform(0, 1, (2304, 2))
+        full = self.run(model, z, cond, sched, invert)
+        for m in (512, 767, 1500, 2304):
+            idx = rng.stream("pick").substream(m).choice(2304, size=m)   # in random order
+            assert np.array_equal(self.run(model, z[idx], cond[idx], sched, invert), full[idx])
+
+    def test_blocks_hold_512_to_1023_rows(self, monkeypatch):
+        seen = []
+        model, sched = tiny_model(randomize_output=True, T=40), make_schedule(40)
+        forward = model.net.forward
+        monkeypatch.setattr(model.net, "forward", lambda x: seen.append(len(x)) or forward(x))
+        for n in (5, 1023, 1024, 2047, 2560):
+            seen.clear()
+            ddim_invert(model, np.zeros((n, 4)), np.zeros((n, 2)), sched, 1)
+            assert sum(seen) == n
+            assert all(512 <= rows <= 1023 for rows in seen) if n >= 512 else seen == [n]
+
+    def test_state_and_condition_shapes_are_checked(self):
+        model, sched = tiny_model(T=40), make_schedule(40)
+        with pytest.raises(ShapeError):
+            ddim_invert(model, np.zeros((3, 5)), np.zeros((3, 2)), sched, 2)
+        with pytest.raises(ShapeError):
+            ddim_sample(model, np.zeros((3, 4)), sched, 2, np.zeros((2, 2)))
 
 
 class TestCycleConsistencyTrend:

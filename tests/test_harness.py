@@ -2,12 +2,14 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import RECORDED_NUMPY
 from dynalign import binio, harness, traversal
 from dynalign.errors import ConfigError, FormatError, InputError
 
@@ -30,7 +32,6 @@ TINY = {
 # sha256 over "<relative path> <file sha256>" lines of every CSV and PGM each
 # command writes on TINY, recorded with numpy 2.4.6 (OpenBLAS 0.3.31, x86-64).
 # Another numpy or BLAS build may round the last bits differently.
-RECORDED_NUMPY = "2.4.6"
 TINY_OUTPUT_DIGESTS = {
     "pipeline": "d958551613d03ac9fb01085982be29d9614a430ae03fafe21d8fbdef5fd732bf",
     "classify": "e407355909f34674ce8e25946f750e97a57df1dc7e949027cb9f5ac356ba4759",
@@ -625,6 +626,36 @@ class TestCli:
             binio.write_envelope(path, dynsim.DATASET_MAGIC, {}, arrays)
         proc = subprocess.run(args, capture_output=True, text=True, env=CLI_ENV)
         assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.fixture(scope="class")
+    def tiny_cache(self, tmp_path_factory):
+        """A TINY pipeline's config file and output directory."""
+        root = tmp_path_factory.mktemp("tiny-cache")
+        cfgfile = root / "cfg.json"
+        cfgfile.write_text(json.dumps(TINY))
+        args = [sys.executable, "-m", "dynalign", "pipeline", "--config", str(cfgfile),
+                "--out", str(root / "runs")]
+        assert subprocess.run(args, capture_output=True, env=CLI_ENV).returncode == 0
+        return args, root / "runs"
+
+    @pytest.mark.parametrize("stage,magic,array,cut", [
+        ("diffusion", b"DNZ1", "w1", lambda a: a[:, :20]),
+        ("encoder", b"ENC1", "w0", lambda a: a[:-1]),
+        ("latents", b"LAT1", "z", lambda a: a[:-1]),
+        ("table", b"KNT1", "z_ref", lambda a: a[:-1]),
+    ], ids=["diffusion", "encoder", "latents", "table"])
+    def test_cached_array_that_disagrees_with_its_metadata_exits_2(
+            self, tmp_path, tiny_cache, stage, magic, array, cut):
+        args, runs = tiny_cache
+        shutil.copytree(runs, tmp_path / "runs")
+        args = args[:-1] + [str(tmp_path / "runs")]
+        (path,) = (tmp_path / "runs" / "cache").glob(f"{stage}-*.bin")
+        meta, arrays = binio.read_envelope(path, magic)
+        binio.write_envelope(path, magic, meta, {**arrays, array: cut(arrays[array])})
+        proc = subprocess.run(args, capture_output=True, text=True, env=CLI_ENV)
+        assert proc.returncode == 2, proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 

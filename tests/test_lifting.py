@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynalign.errors import InputError, NumericError
+from dynalign import binio, lifting
+from dynalign.errors import FormatError, InputError, NumericError
 from dynalign.lifting import (
-    LiftingConfig, _distances, _median_heuristic, _weights, build_table, lift, lift_many,
-    load_table, save_table, select_k,
+    LiftingConfig, _distances, _median_heuristic, _nearest, _weights, build_table, lift,
+    lift_many, load_table, save_table, select_k,
 )
 from dynalign.metrics import rmse
 from dynalign.numcore import Rng
@@ -55,6 +56,21 @@ class TestBuildTable:
         assert (back.kernel, back.metric, back.k, back.sigma) == (
             table.kernel, table.metric, table.k, table.sigma,
         )
+
+    @pytest.mark.parametrize("arrays,meta", [
+        ({"z_ref": np.zeros((19, 6))}, {}),
+        ({"c_ref": np.zeros(20)}, {}),
+        ({}, {"k": 21}),
+    ], ids=["row-counts", "rank", "k"])
+    def test_arrays_that_disagree_are_a_format_error(self, tmp_path, arrays, meta):
+        table, _, _ = toy_table()
+        path = tmp_path / "t.bin"
+        save_table(table, path)
+        old_meta, old_arrays = binio.read_envelope(path, lifting.TABLE_MAGIC)
+        binio.write_envelope(path, lifting.TABLE_MAGIC, {**old_meta, **meta},
+                             {**old_arrays, **arrays})
+        with pytest.raises(FormatError):
+            load_table(path)
 
 
 class TestMedianHeuristic:
@@ -185,6 +201,16 @@ class TestSortOnce:
             best = min(sorted(errs), key=lambda k: errs[k])
             # select_k answers with the count it lifted with, at most the 30 references.
             assert select_k(table, grid, q, qz) == min(best, 30)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9, 16, 39, 40])
+    def test_partial_selection_equals_a_stable_full_sort_under_forced_ties(self, k):
+        # Distances from four values only, so most rows tie across the k-th
+        # column, some in long runs.
+        rng = Rng(k).stream("ties")
+        dist = rng.integers(0, 4, size=(200, 40)).astype(np.float64)
+        dist[::7] = 1.0
+        assert np.array_equal(_nearest(dist, k), np.argsort(dist, axis=1, kind="stable")[:, :k])
 
 
 class TestSelectK:

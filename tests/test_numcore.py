@@ -376,6 +376,33 @@ def test_mlp_kernels_match_the_allocating_oracle(rows):
     assert grads.keys() == want_grads.keys()
     assert all(np.array_equal(grads[k], want_grads[k]) for k in grads)
 
+    # Inside a training run, the same bits from reused buffers, with the row
+    # count alternating as a short last batch makes it.
+    short = rows // 2 + 1
+    short_out, short_cache = forward_oracle(net, x[:short])
+    cases = [(rows, want, want_grads),
+             (short, short_out, backward_oracle(net, short_cache, dout[:short]))]
+    with net.reused_buffers():
+        for n, want_out, want_g in cases * 2:
+            out, cache = net.forward(x[:n], want_cache=True)
+            assert np.array_equal(out, want_out)
+            grads = net.backward(cache, dout[:n])
+            assert all(np.array_equal(grads[k], want_g[k]) for k in want_g)
+            assert np.array_equal(net.forward(x[:n]), want_out)
+    assert net._work is None
+
+
+def test_a_cache_held_outside_a_run_survives_later_forwards():
+    net = denoiser_net()
+    rng = Rng(3).stream("data")
+    x, dout = rng.stream("x").normal((64, 60)), rng.stream("d").normal((64, 12))
+    _, cache = net.forward(x, want_cache=True)
+    want = {k: g.copy() for k, g in net.backward(cache, dout).items()}
+    net.forward(rng.stream("y").normal((64, 60)), want_cache=True)
+    net.forward(rng.stream("z").normal((64, 60)))
+    grads = net.backward(cache, dout)
+    assert all(np.array_equal(grads[k], want[k]) for k in want)
+
 
 @pytest.mark.parametrize("rows", [1, 7, 128, 2304])
 def test_sq_dists_matches_the_allocating_oracle(rows):
