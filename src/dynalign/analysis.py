@@ -84,8 +84,17 @@ def _stratified_cap(y, cap, rng):
     return np.sort(np.concatenate(picked))
 
 
+def _rbf_kernel(a, b, gamma):
+    """exp(-gamma |a - b|^2), built in the buffer `sq_dists` returns."""
+    k = sq_dists(a, b)
+    k *= -gamma
+    return np.exp(k, out=k)
+
+
 def train_svm(points, labels, config, rng):
-    """Pegasos-style stochastic subgradient training, deterministic under seed."""
+    """Kernelized Pegasos (Shalev-Shwartz et al., 2011, section 4), deterministic
+    under seed; with a bias column the linear kernel is the same algorithm, as
+    (1 - 1/t) telescopes. `ay`: signed violation counts; `f`: margins K @ ay."""
     x = np.asarray(points, dtype=np.float64)
     y = _as_signed(labels)
     keep = _stratified_cap(y, config.max_points, rng.stream("subsample"))
@@ -93,53 +102,44 @@ def train_svm(points, labels, config, rng):
     n, d = x.shape
     lam = float(config.lam)
     pick = rng.stream("pegasos").integers(0, n, size=config.steps)
-
     if config.kernel == "linear":
-        xa = np.concatenate([x, np.ones((n, 1))], axis=1)
-        w = np.zeros(d + 1)
-        for t, i in enumerate(pick, start=1):
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
-            if y[i] * (xa[i] @ w) < 1.0:
-                w += eta * y[i] * xa[i]
-        return SvmModel(kernel="linear", w=w)
-
-    if config.kernel != "rbf":
-        raise ConfigError(f"unknown kernel {config.kernel!r}", field="svm.kernel")
-    gamma = config.gamma
-    if gamma is None:
+        x = np.concatenate([x, np.ones((n, 1))], axis=1)
+        gram = x @ x.T
+    elif config.kernel == "rbf":
         var = float(x.var())
-        gamma = 1.0 / (d * var) if var > 0.0 else 1.0
-    gram = np.exp(-gamma * sq_dists(x, x))
-    alpha = np.zeros(n)
-    ay = np.zeros(n)  # running alpha * y, so each step is one dot product
-    for t, i in enumerate(pick, start=1):
-        if y[i] * (gram[i] @ ay) / (lam * t) < 1.0:
-            alpha[i] += 1.0
-            ay[i] += y[i]
-    coefs = ay / (lam * config.steps)
-    return SvmModel(kernel="rbf", coefs=coefs, points=x, gamma=float(gamma))
+        default = 1.0 / (d * var) if var > 0.0 else 1.0
+        gamma = default if config.gamma is None else config.gamma
+        gram = _rbf_kernel(x, x, gamma)
+    else:
+        raise ConfigError(f"unknown kernel {config.kernel!r}", field="svm.kernel")
+    gram *= y[:, None]   # row i is y_i k(x_i, .); K is symmetric
+    ay, f = np.zeros(n), np.zeros(n)
+    ys = y.tolist()      # python floats: a step that only tests skips numpy
+    for t, i in enumerate(pick.tolist(), start=1):
+        if ys[i] * f.item(i) / (lam * t) < 1.0:
+            ay[i] += ys[i]
+            f += gram[i]
+    ay /= lam * config.steps
+    if config.kernel == "linear":
+        return SvmModel(kernel="linear", w=x.T @ ay)
+    return SvmModel(kernel="rbf", coefs=ay, points=x, gamma=float(gamma))
 
 
 def svm_decision(model, points):
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if model.kernel == "linear":
-        xa = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-        return xa @ model.w
-    return np.exp(-model.gamma * sq_dists(x, model.points)) @ model.coefs
+        return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1) @ model.w
+    return _rbf_kernel(x, model.points, model.gamma) @ model.coefs
 
 
 def _midranks(values):
+    """1-based ranks, a run of equal values sharing its mean; NaN ties nothing."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    last = np.append(first[1:], values.size) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 

@@ -20,7 +20,7 @@ CHECKPOINT_MAGIC = b"ENC1"
 @dataclass
 class ContrastiveBatch:
     embeddings: np.ndarray     # (n, d)
-    positives: np.ndarray      # (n, n) bool mask, diagonal False (or per-anchor index arrays)
+    positives: np.ndarray      # (n, n) bool mask; its diagonal is ignored
     tau: float
 
 
@@ -57,16 +57,10 @@ def build_positives(taus, mus, delta_t, delta_y=None, *, traj_ids, labels=None,
 
 
 def _positive_mask(positives, n):
-    """The (n, n) positive mask of a batch, diagonal False. Per-anchor index
-    arrays are read as sets: order and repeats do not matter."""
-    if isinstance(positives, np.ndarray) and positives.dtype == bool:
-        if positives.shape != (n, n):
-            raise ShapeError(f"positive mask {positives.shape} does not match batch of {n}")
-        mask = positives.copy()
-    else:
-        mask = np.zeros((n, n), dtype=bool)
-        for i, p in enumerate(positives):
-            mask[i, np.asarray(p, dtype=np.int64)] = True
+    """A copy of the batch's (n, n) boolean positive mask, diagonal False."""
+    if getattr(positives, "dtype", None) != bool or positives.shape != (n, n):
+        raise ShapeError(f"positives must be a ({n}, {n}) boolean mask")
+    mask = positives.copy()
     np.fill_diagonal(mask, False)
     return mask
 

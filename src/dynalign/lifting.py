@@ -45,12 +45,21 @@ def _median_heuristic(c_ref, cap=1000):
     if n > cap:
         stride = int(np.ceil(n / cap))
         c_ref = c_ref[::stride]
-    # The strict upper triangle in row-major order, picked by a boolean
-    # mask: one byte per pair, where an index pair takes sixteen.
-    idx = np.arange(c_ref.shape[0])
-    upper = sq_dists(c_ref, c_ref)[idx[:, None] < idx[None, :]]
-    np.sqrt(upper, out=upper)
-    med = float(np.median(upper, overwrite_input=True)) if upper.size else 1.0
+    m = c_ref.shape[0]
+    if m < 2:
+        return 1.0
+    # The median distance of the strict upper triangle, found in the distance
+    # buffer itself: with the diagonal and lower triangle at -inf, the upper
+    # values hold the flat ranks from m(m+1)/2 on, and one in-place partition
+    # places the middle one or two. sqrt is monotone, so it can come last.
+    d2 = sq_dists(c_ref, c_ref)
+    for i in range(m):
+        d2[i, : i + 1] = -np.inf
+    upper = m * (m - 1) // 2
+    ranks = m * (m + 1) // 2 + np.unique([(upper - 1) // 2, upper // 2])
+    flat = d2.reshape(-1)
+    flat.partition(ranks)
+    med = float(np.mean(np.sqrt(flat[ranks])))   # np.median's mean of the middle
     return med if med > 0.0 else 1.0
 
 

@@ -57,7 +57,8 @@ def test_criterion_1_gradient_correctness():
 
         enc = contrastive.EncoderModel(5, 3, hidden=(16, 16), rng=rng.stream("enc"))
         z = rng.stream("z").normal((12, 5))
-        pos = [np.array([(i + 1) % 12, (i + 5) % 12]) for i in range(12)]
+        pos = np.zeros((12, 12), dtype=bool)
+        pos[np.arange(12)[:, None], (np.arange(12)[:, None] + [1, 5]) % 12] = True
         worst["infonce"] = max(worst["infonce"], grad_check(
             lambda p: contrastive.batch_loss_and_grads(enc, z, pos, 1.0),
             enc.params, 1e-4, max_coords=25, rng=rng.stream("probe-c")))
@@ -214,7 +215,10 @@ def test_criterion_7_infonce_oracle():
             pick = sub.choice(len(cand), size=min(k, len(cand)))
             pos.append(np.array([cand[int(j)] for j in pick]))
         tau = 0.5 + sub.uniform()
-        loss, _ = contrastive.infonce_loss(contrastive.ContrastiveBatch(c, pos, tau))
+        mask = np.zeros((n, n), dtype=bool)
+        for i, p in enumerate(pos):
+            mask[i, p] = True
+        loss, _ = contrastive.infonce_loss(contrastive.ContrastiveBatch(c, mask, tau))
 
         sims = -((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
         total, count = 0.0, 0
@@ -228,7 +232,7 @@ def test_criterion_7_infonce_oracle():
         worst = max(worst, abs(loss - total / count))
 
         shifted, _ = contrastive.infonce_loss(
-            contrastive.ContrastiveBatch(c + sub.normal(3), pos, tau))
+            contrastive.ContrastiveBatch(c + sub.normal(3), mask, tau))
         worst_shift = max(worst_shift, abs(loss - shifted))
     ok = worst <= 1e-12 and worst_shift <= 1e-12
     report(7, ok, f"oracle gap {worst:.1e}, translation gap {worst_shift:.1e}")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dynalign.analysis import (
-    SvmConfig, _density_on_grid, fit_pca, kde_fit, kde_traverse, orthogonality_probe,
-    pca_project, roc_auc, svm_decision, svm_score, train_svm,
+    SvmConfig, _as_signed, _density_on_grid, _midranks, _stratified_cap, fit_pca, kde_fit,
+    kde_traverse, orthogonality_probe, pca_project, roc_auc, svm_decision, svm_score,
+    train_svm,
 )
 from dynalign.errors import ConfigError, InputError
-from dynalign.numcore import Rng
+from dynalign.numcore import Rng, sq_dists
 
 
 def pca_round_trip(model, data):
@@ -104,7 +105,88 @@ def separable_clusters(seed=0, n=60, margin=8.0):
     return x, y
 
 
+def pegasos_oracle(points, labels, config, rng):
+    """The two per-step Pegasos loops train_svm replaced: the primal linear
+    update with its (1 - eta lam) shrinkage, and the kernel loop that takes
+    one dot product of a Gram row per step. Returns w (linear) or coefs."""
+    x = np.asarray(points, dtype=np.float64)
+    y = _as_signed(labels)
+    keep = _stratified_cap(y, config.max_points, rng.stream("subsample"))
+    x, y = x[keep], y[keep]
+    n, d = x.shape
+    lam = float(config.lam)
+    pick = rng.stream("pegasos").integers(0, n, size=config.steps)
+    if config.kernel == "linear":
+        xa = np.concatenate([x, np.ones((n, 1))], axis=1)
+        w = np.zeros(d + 1)
+        for t, i in enumerate(pick, start=1):
+            eta = 1.0 / (lam * t)
+            w *= 1.0 - eta * lam
+            if y[i] * (xa[i] @ w) < 1.0:
+                w += eta * y[i] * xa[i]
+        return w
+    gamma = config.gamma
+    if gamma is None:
+        var = float(x.var())
+        gamma = 1.0 / (d * var) if var > 0.0 else 1.0
+    gram = np.exp(-gamma * sq_dists(x, x))
+    ay = np.zeros(n)
+    for t, i in enumerate(pick, start=1):
+        if y[i] * (gram[i] @ ay) / (lam * t) < 1.0:
+            ay[i] += y[i]
+    return ay / (lam * config.steps)
+
+
+def midranks_oracle(values):
+    """The run-by-run midrank loop _midranks replaced."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def random_svm_problems(seed, count):
+    """Unbalanced two-class problems, n 10-600, d 2-13; every third one
+    caps the training subsample below n. Yields (x, labels, config)."""
+    rng = Rng(seed)
+    for trial in range(count):
+        sub = rng.substream(trial)
+        n, d = int(sub.integers(10, 601)), int(sub.integers(2, 14))
+        labels = (sub.uniform(0, 1, n) < sub.uniform(0.1, 0.5)).astype(np.int64)
+        labels[:2] = (0, 1)
+        x = sub.normal((n, d)) * sub.uniform(0.2, 3.0, d) + 0.8 * labels[:, None]
+        cap = max(2, n // 2) if trial % 3 == 0 else 2000
+        for kernel in ("linear", "rbf"):
+            yield x, labels, SvmConfig(kernel=kernel, lam=(1e-4, 1e-3, 1e-2)[trial % 3],
+                                       steps=int(sub.integers(200, 6000)), max_points=cap)
+
+
 class TestSvm:
+    def test_kernelized_loop_matches_per_step_oracles(self):
+        for trial, (x, labels, cfg) in enumerate(random_svm_problems(21, 24)):
+            model = train_svm(x, labels, cfg, Rng(trial))
+            oracle = pegasos_oracle(x, labels, cfg, Rng(trial))
+            if cfg.kernel == "rbf":
+                assert np.array_equal(model.coefs, oracle)
+                continue
+            assert np.max(np.abs(model.w - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+            keep = _stratified_cap(_as_signed(labels), cfg.max_points,
+                                   Rng(trial).stream("subsample"))
+            xa = np.concatenate([x[keep], np.ones((keep.size, 1))], axis=1)
+            assert np.array_equal(np.sign(svm_decision(model, x[keep])), np.sign(xa @ oracle))
+
+    def test_unknown_kernel_rejected(self):
+        x, y = separable_clusters(n=10)
+        with pytest.raises(ConfigError):
+            train_svm(x, y, SvmConfig(kernel="poly", steps=10), Rng(0))
+
     @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     def test_separable_clusters_perfect(self, kernel):
         x, y = separable_clusters()
@@ -166,6 +248,16 @@ class TestRocAuc:
     def test_needs_both_classes(self):
         with pytest.raises(InputError):
             roc_auc(np.ones(4), np.arange(4.0))
+
+    def test_midranks_match_run_loop_with_ties_and_nans(self):
+        rng = Rng(9)
+        for trial in range(30):
+            sub = rng.substream(trial)
+            n = int(sub.integers(1, 400))
+            values = np.round(sub.normal(n) * 3.0) / 2.0   # many ties
+            values[sub.uniform(0, 1, n) < 0.1] = np.nan
+            values[sub.uniform(0, 1, n) < 0.05] = -0.0
+            assert np.array_equal(_midranks(values), midranks_oracle(values))
 
 
 class TestKde:

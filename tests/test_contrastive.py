@@ -48,6 +48,14 @@ def brute_force_loss(c, positives, tau):
     return total / count
 
 
+def index_mask(positives):
+    """The (n, n) boolean mask of per-anchor index lists, read as sets."""
+    mask = np.zeros((len(positives), len(positives)), dtype=bool)
+    for i, p in enumerate(positives):
+        mask[i, np.asarray(p, dtype=np.int64)] = True
+    return mask
+
+
 def anchor_loop_loss(c, positives, tau):
     """The per-anchor loop form of infonce_loss, operation for operation:
     the vectorised loss must reproduce it bit for bit."""
@@ -146,13 +154,13 @@ class TestBuildPositives:
 class TestInfonceLoss:
     def test_identical_embeddings_give_log2(self):
         c = np.tile([1.5, -0.5], (3, 1))
-        pos = [np.array([1, 2]), np.array([0, 2]), np.array([0, 1])]
+        pos = index_mask([np.array([1, 2]), np.array([0, 2]), np.array([0, 1])])
         loss, _ = infonce_loss(ContrastiveBatch(c, pos, 1.0))
         assert abs(loss - np.log(2.0)) < 1e-12
 
     def test_batch_of_two_is_zero(self):
         c = Rng(0).normal((2, 3))
-        loss, _ = infonce_loss(ContrastiveBatch(c, [np.array([1]), np.array([0])], 0.7))
+        loss, _ = infonce_loss(ContrastiveBatch(c, index_mask([[1], [0]]), 0.7))
         assert abs(loss) < 1e-12
 
     def test_matches_brute_force_on_random_batches(self):
@@ -173,7 +181,7 @@ class TestInfonceLoss:
     def test_gradient_matches_finite_differences(self):
         rng = Rng(2)
         c = rng.normal((7, 3))
-        pos = [np.array([(i + 1) % 7, (i + 2) % 7]) for i in range(7)]
+        pos = index_mask([np.array([(i + 1) % 7, (i + 2) % 7]) for i in range(7)])
         _, grad = infonce_loss(ContrastiveBatch(c, pos, 0.8))
         h = 1e-6
         for i in (0, 3, 6):
@@ -187,14 +195,14 @@ class TestInfonceLoss:
     def test_translation_invariance(self):
         rng = Rng(3)
         c = rng.normal((6, 4))
-        pos = [np.array([(i + 1) % 6]) for i in range(6)]
+        pos = index_mask([np.array([(i + 1) % 6]) for i in range(6)])
         l0, _ = infonce_loss(ContrastiveBatch(c, pos, 1.0))
         l1, _ = infonce_loss(ContrastiveBatch(c + np.array([5.0, -3.0, 0.25, 1.0]), pos, 1.0))
         assert abs(l0 - l1) < 1e-12
 
     def test_identical_configuration_is_nonnegative(self):
         c = np.zeros((5, 2))
-        pos = [np.array([j for j in range(5) if j != i]) for i in range(5)]
+        pos = index_mask([np.array([j for j in range(5) if j != i]) for i in range(5)])
         loss, _ = infonce_loss(ContrastiveBatch(c, pos, 1.0))
         assert loss >= 0.0
 
@@ -202,22 +210,21 @@ class TestInfonceLoss:
         rng = Rng(4)
         c = rng.normal((6, 3))
         pos = [np.array([(i + 1) % 6, (i + 3) % 6]) for i in range(6)]
-        l0, _ = infonce_loss(ContrastiveBatch(c, pos, 1.0))
+        l0, _ = infonce_loss(ContrastiveBatch(c, index_mask(pos), 1.0))
         perm = Rng(5).permutation(6)
         inv = np.argsort(perm)
         c_p = c[perm]
         pos_p = [inv[pos[perm[i]]] for i in range(6)]
-        l1, _ = infonce_loss(ContrastiveBatch(c_p, pos_p, 1.0))
+        l1, _ = infonce_loss(ContrastiveBatch(c_p, index_mask(pos_p), 1.0))
         assert abs(l0 - l1) < 1e-12
 
     def test_mask_index_lists_and_anchor_loop_agree_bit_for_bit(self):
         for c, mask, tau in random_positive_batches(11, 40):
             rows = [np.flatnonzero(r) for r in mask]
             loss, grad = infonce_loss(ContrastiveBatch(c, mask, tau))
-            for other_loss, other_grad in (infonce_loss(ContrastiveBatch(c, rows, tau)),
-                                           anchor_loop_loss(c, rows, tau)):
-                assert loss == other_loss
-                assert np.array_equal(grad, other_grad)
+            other_loss, other_grad = anchor_loop_loss(c, rows, tau)
+            assert loss == other_loss
+            assert np.array_equal(grad, other_grad)
 
     def test_anchors_without_positives_are_skipped_exactly(self):
         rng = Rng(13)
@@ -232,18 +239,19 @@ class TestInfonceLoss:
             c = sub.normal((n, 3))
             rows = [np.flatnonzero(r) for r in mask]
             loss, grad = infonce_loss(ContrastiveBatch(c, mask, 0.7))
-            for other_loss, other_grad in (infonce_loss(ContrastiveBatch(c, rows, 0.7)),
-                                           anchor_loop_loss(c, rows, 0.7)):
-                assert loss == other_loss
-                assert np.array_equal(grad, other_grad)
+            other_loss, other_grad = anchor_loop_loss(c, rows, 0.7)
+            assert loss == other_loss
+            assert np.array_equal(grad, other_grad)
 
     def test_mask_shape_must_match_batch(self):
         with pytest.raises(ShapeError):
             infonce_loss(ContrastiveBatch(np.zeros((4, 2)), np.ones((3, 3), dtype=bool), 1.0))
+        with pytest.raises(ShapeError):   # index lists are not a mask
+            infonce_loss(ContrastiveBatch(np.zeros((2, 2)), [np.array([1]), np.array([0])], 1.0))
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ConfigError):
-            infonce_loss(ContrastiveBatch(np.zeros((2, 2)), [np.array([1]), np.array([0])], 0.0))
+            infonce_loss(ContrastiveBatch(np.zeros((2, 2)), index_mask([[1], [0]]), 0.0))
 
 
 def synthetic_latents(seed=0, n_traj=8, S=12, D=6):
@@ -349,7 +357,7 @@ class TestEmbed:
         rng = Rng(7)
         enc = EncoderModel(5, 2, hidden=(12, 12), rng=rng.stream("enc"))
         z = rng.stream("z").normal((10, 5))
-        pos = [np.array([(i + 1) % 10, (i + 2) % 10]) for i in range(10)]
+        pos = index_mask([np.array([(i + 1) % 10, (i + 2) % 10]) for i in range(10)])
         err = grad_check(
             lambda p: batch_loss_and_grads(enc, z, pos, 1.0), enc.params, 1e-4,
             max_coords=30,
