@@ -12,7 +12,7 @@ import numpy as np
 
 from . import binio
 from .errors import ConfigError, InputError, ShapeError
-from .numcore import Mlp, Rng, condition_features, fit, split_count, sq_dists
+from .numcore import Mlp, Rng, condition_features, fit, one_blas_thread, split_count, sq_dists
 
 CHECKPOINT_MAGIC = b"ENC1"
 
@@ -258,7 +258,7 @@ def train_encoder(encoder, z, taus, mus, config, rng, labels=None):
         stale += 1
         return stale >= config.patience
 
-    with encoder.net.reused_buffers():
+    with encoder.net.reused_buffers(), one_blas_thread():
         curve = fit(
             encoder.params, config.epochs,
             lambda epoch: _batches_for(train_trajs, S, config,

@@ -29,7 +29,7 @@ from . import analysis, binio, contrastive, diffusion, dynsim, lifting, metrics,
 from .contrastive import EmbeddingConfig
 from .errors import ConfigError, FormatError, InputError, NumericError
 from .lifting import LiftingConfig
-from .numcore import Rng, split_count
+from .numcore import Rng, one_blas_thread, split_count
 
 CSV_HEADER = "dataset,space,method,metric,value,std,n,seed"
 
@@ -793,8 +793,9 @@ def _band_folds(mus, folds):
     return [(edges[i], edges[i + 1]) for i in range(folds)]
 
 
+@one_blas_thread()
 def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
-    """Leave-mu-band-out CV in Z and C, pooled over folds.
+    """Leave-mu-band-out CV in Z and C, pooled over folds, on one BLAS thread.
 
     With a single fold this degenerates to plain train/test evaluation on
     the dataset's own split.

@@ -1,12 +1,13 @@
 """Dense math core: seeded randomness, Adam and the one training loop,
-gradient checking, pairwise distances, and the small fully-connected
-network machinery shared by every trainable module.
+gradient checking, pairwise distances, the small fully-connected network
+machinery shared by every trainable module, and the one-BLAS-thread pin.
 
 All floating point is 64-bit. Gradients are hand-derived; grad_check is the
 safety net that keeps them honest.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import math
 
@@ -54,6 +55,46 @@ class Rng:
 
     def choice(self, n, size, replace=False):
         return self._gen.choice(n, size=size, replace=replace)
+
+
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions, or None, found through
+    numpy's extension module: its handle also searches the libraries it
+    links, under the names numpy's wheels and plain OpenBLAS export."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:     # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+        if get is not None and put is not None:
+            get.restype, get.argtypes = ctypes.c_int, ()
+            put.restype, put.argtypes = None, (ctypes.c_int,)
+            return get, put
+    return None
+
+
+_BLAS_THREADS = _blas_thread_control()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, restoring the previous count on
+    exit; a no-op where no thread control was found. The narrow models
+    train inside it: a second thread buys their GEMMs no wall time, spins
+    between them, and splits their sums by the thread count."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def split_count(n, fraction):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .numcore import Rng, fit, shuffled_batches
+from .numcore import Rng, fit, one_blas_thread, shuffled_batches
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +300,11 @@ class RecurrentPredictor:
         return hs[-1] @ self.params["wo"] + self.params["bo"]
 
 
+@one_blas_thread()
 def train_recurrent(pred, sequences, epochs, rng, lr=1e-3, batch=16):
     """Teacher-forced MSE training; returns the predictor and its per-epoch
-    mean losses. Aborts on divergence (`numcore.fit`)."""
+    mean losses. Aborts on divergence (`numcore.fit`). Runs on one BLAS
+    thread, so the gradients do not depend on the thread count."""
     data = np.stack([np.asarray(s, dtype=np.float64) for s in sequences])
     order_rng = rng.stream("order")
     curve = fit(pred.params, epochs,

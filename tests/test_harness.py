@@ -775,6 +775,17 @@ class TestCli:
         assert proc.returncode == 0
         assert "manifest" in proc.stdout
 
+    def test_simulate_cli_runs_at_a_seed_beyond_64_bits(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**TINY, "seed": 2**64}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynalign", "simulate", "--config", str(cfgfile),
+             "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=CLI_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list((tmp_path / "runs" / "cache").glob("dataset-*.bin"))) == 1
+
     def test_pipeline_cli_writes_csv(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(TINY))
