@@ -348,12 +348,13 @@ class Workspace:
     @contextlib.contextmanager
     def timed(self, name):
         """Add the wall and CPU seconds of the block to stages[name], and
-        record the process's peak RSS after it there. A floating-point error
-        raised inside (see `main`) leaves as NumericError naming the stage."""
+        record the process's peak RSS after it there. A numeric failure
+        raised inside, a floating-point error (see `main`) included, leaves as
+        NumericError naming the stage."""
         start, cpu_start = time.perf_counter(), time.process_time()
         try:
             yield
-        except FloatingPointError as exc:
+        except (FloatingPointError, NumericError) as exc:
             raise NumericError(f"stage {name}: {exc}") from exc
         record = self.stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
         record["seconds"] += time.perf_counter() - start
@@ -452,7 +453,7 @@ def _upstream(ws, emb_cfg, tag):
     ds = stage_dataset(ws)
     model, sched = stage_diffusion(ws, ds)
     z_all = stage_latents(ws, ds, model, sched)
-    encoder = stage_encoder(ws, ds, z_all, emb_cfg, tag=tag)
+    encoder = stage_encoder(ws, ds, z_all, emb_cfg, tag)
     return ds, model, sched, z_all, encoder
 
 
@@ -466,7 +467,7 @@ def embed_frames(encoder, ds, z_all, split=None):
     return c if split else c.reshape(z_all.shape[0], z_all.shape[1], -1)
 
 
-def stage_encoder(ws, ds, z_all, emb_cfg, tag="encoder"):
+def stage_encoder(ws, ds, z_all, emb_cfg, tag):
     cfg = ws.cfg
 
     def write(path):
@@ -794,7 +795,7 @@ def _band_folds(mus, folds):
 
 
 @one_blas_thread()
-def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
+def classification_metrics(cfg, ds, z_all, encoder, seed_rng):
     """Leave-mu-band-out CV in Z and C, pooled over folds, on one BLAS thread.
 
     With a single fold this degenerates to plain train/test evaluation on
@@ -805,7 +806,6 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
     stride = max(1, S // acfg.frames_per_traj_class)
     frame_sel = np.arange(0, S, stride)
 
-    labels = ds.labels if labels is None else labels
     c_all = embed_frames(encoder, ds, z_all)
     feats = {
         "Z": z_all[:, frame_sel, :],
@@ -821,7 +821,7 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
             folds.append((np.setdiff1d(np.arange(n_traj), test_traj), test_traj))
     # A fold is scored only if it has test frames and both classes to train on.
     folds = [(f, train, test) for f, (train, test) in enumerate(folds)
-             if test.size and np.unique(labels[train]).size > 1]
+             if test.size and np.unique(ds.labels[train]).size > 1]
     if not folds:
         raise InputError("no fold's training set holds both classes")
 
@@ -831,7 +831,7 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
         for kernel in ("linear", "rbf"):
             pooled_scores, pooled_labels = [], []
             for f, train_traj, test_traj in folds:
-                y_train = np.repeat(labels[train_traj], frame_sel.size)
+                y_train = np.repeat(ds.labels[train_traj], frame_sel.size)
                 x_train = _frames(arr, train_traj)
                 x_test = _frames(arr, test_traj)
                 svm_cfg = analysis.SvmConfig(
@@ -843,7 +843,7 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng, labels=None):
                     seed_rng.stream(f"svm-{space}-{kernel}-{f}"),
                 )
                 pooled_scores.append(analysis.svm_decision(svm, x_test))
-                pooled_labels.append(np.repeat(labels[test_traj], frame_sel.size))
+                pooled_labels.append(np.repeat(ds.labels[test_traj], frame_sel.size))
             truth = np.concatenate(pooled_labels)
             vals = analysis.svm_score(truth, np.concatenate(pooled_scores))
             results[(space, kernel)] = vals
@@ -944,15 +944,6 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
     return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 
 
-def orthogonality_values(cfg, ds, z_all, encoder):
-    test = ds.stack("test", z=z_all)
-    c_test = embed_frames(encoder, ds, z_all, "test")
-    return {
-        "Z": analysis.orthogonality_probe(test["z"], test["tau"], test["mu"]),
-        "C": analysis.orthogonality_probe(c_test, test["tau"], test["mu"]),
-    }
-
-
 def probe_embedding_config(cfg, d=None):
     """Encoder settings of the compact probe space that `probe-orthogonality`
     and `kde-edit` share: at most 3 dimensions (`d`, the embedding's by
@@ -972,8 +963,11 @@ def cmd_probe_orthogonality(cfg, out_dir, force=False):
     ws = Workspace(out_dir, cfg, force)
     ds, _, _, z_all, encoder = _upstream(ws, probe_embedding_config(cfg), "encoder-probe")
     with ws.timed("probe"):
-        values = orthogonality_values(cfg, ds, z_all, encoder)
-    n = len(ds.indices("test")) * z_all.shape[1]
+        test = ds.stack("test", z=z_all)
+        c_test = embed_frames(encoder, ds, z_all, "test")
+        values = {space: analysis.orthogonality_probe(x, test["tau"], test["mu"])
+                  for space, x in (("Z", test["z"]), ("C", c_test))}
+    n = test["z"].shape[0]
     rows = [row(cfg, space, "ols-probe", "regression_cosine", v, n)
             for space, v in values.items()]
     return _finish(ws, "probe-orthogonality", "orthogonality.csv", rows, values,

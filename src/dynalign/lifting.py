@@ -148,21 +148,17 @@ def _lifts(table, queries, ks):
         yield np.einsum("qk,qkd->qd", w, table.z_ref[nbr]), w, nbr
 
 
-def lift_many(table, queries, k=None, return_weights=False):
-    """Vectorized lift of a query batch; returns (q, D) latents."""
-    k = table.k if k is None else int(np.clip(k, 1, table.c_ref.shape[0]))
-    lifted, w, nbr = next(_lifts(table, queries, [k]))
-    if return_weights:
-        return lifted, w, nbr
-    return lifted
+def lift_many(table, queries):
+    """Vectorized lift of a query batch with the table's k; returns (q, D)
+    latents."""
+    return next(_lifts(table, queries, [table.k]))[0]
 
 
-def lift(table, c_query, k=None):
+def lift(table, c_query):
     """Lift one embedding back to a feature latent."""
     c = np.asarray(c_query, dtype=np.float64)
-    single = c.ndim == 1
-    out = lift_many(table, c, k=k)
-    return out[0] if single else out
+    out = lift_many(table, c)
+    return out[0] if c.ndim == 1 else out
 
 
 def select_k(table, k_grid, heldout_embeddings, heldout_latents):

@@ -35,9 +35,9 @@ ACCEPT_DOC = {
 
 @pytest.fixture(scope="session")
 def pipelines(tmp_path_factory):
-    """Per-seed trained artifacts shared by the directional checks."""
+    """Per-seed `pipeline` runs on ACCEPT_DOC, shared by the directional
+    checks: the command's rows, and the cached chain it was served."""
     from dynalign import harness
-    from dynalign.numcore import Rng
 
     out = str(tmp_path_factory.mktemp("accept"))
     runs = {}
@@ -45,17 +45,12 @@ def pipelines(tmp_path_factory):
         doc = json.loads(json.dumps(ACCEPT_DOC))
         doc["seed"] = seed
         cfg = harness.config_from_dict(doc)
+        res = harness.cmd_pipeline(cfg, out)
         ws = harness.Workspace(out, cfg)
-        ds, model, sched, z_all, encoder = harness._upstream(ws, cfg.embedding, "encoder")
-        c_all = harness.embed_frames(encoder, ds, z_all)
-        table = harness.stage_table(ws, ds, z_all, c_all)
-        rows, _ = harness.evaluate_traversal(
-            cfg, ds, model, sched, z_all, c_all, table,
-            Rng(seed).stream("traversal"),
-        )
-        runs[seed] = dict(cfg=cfg, ws=ws, out=out, ds=ds, model=model,
-                          sched=sched, z_all=z_all, encoder=encoder,
-                          table=table,
+        ds, model, sched, _, _ = harness._upstream(ws, cfg.embedding, "encoder")
+        assert {name: r["cache"] for name, r in ws.stages.items()} == dict.fromkeys(
+            ["dataset", "diffusion", "latents", "encoder"], "hit")
+        runs[seed] = dict(cfg=cfg, out=out, ds=ds, model=model, sched=sched,
                           rows={(r["space"], r["method"], r["metric"]): r["value"]
-                                for r in rows})
+                                for r in res["rows"]})
     return runs

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import SEEDS
 from dynalign import analysis, contrastive, diffusion, harness, lifting, metrics, traversal
-from dynalign.numcore import Rng, grad_check
+from dynalign.numcore import Rng
+from test_numcore import grad_check
 
 TINY_DOC = {
     "seed": 3,
@@ -185,14 +186,14 @@ def test_criterion_6_knn_lifting():
     z += 0.05 * rng.stream("n").normal(z.shape)
     table = lifting.build_table(c[:35], z[:35], lifting.LiftingConfig(kernel="gaussian"))
 
-    _, w, _ = lifting.lift_many(table, rng.stream("q").normal((20, 2)),
-                                return_weights=True)
+    _, w, _ = next(lifting._lifts(table, rng.stream("q").normal((20, 2)), [table.k]))
     weight_err = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
-    exact = np.array_equal(lifting.lift(table, c[3], k=1), z[3])
+    exact = np.array_equal(lifting.lift(dataclasses.replace(table, k=1), c[3]), z[3])
 
     grid = [1, 2, 3, 5, 8]
     got = lifting.select_k(table, grid, c[35:], z[35:])
-    errs = {k: metrics.rmse(lifting.lift_many(table, c[35:], k=k), z[35:]) for k in grid}
+    errs = {k: metrics.rmse(lifting.lift_many(dataclasses.replace(table, k=k), c[35:]), z[35:])
+            for k in grid}
     oracle = min(sorted(errs), key=lambda k: errs[k])
     ok = weight_err <= 1e-12 and exact and got == oracle
     report(6, ok, f"weight sum err {weight_err:.1e}, k*={got} (oracle {oracle})")
@@ -246,12 +247,7 @@ def test_criterion_8_classification(pipelines):
     details = []
     for seed in SEEDS:
         run = pipelines[seed]
-        emb = dataclasses.replace(run["cfg"].embedding, class_match=True)
-        enc = harness.stage_encoder(run["ws"], run["ds"], run["z_all"], emb,
-                                    tag="encoder-classify")
-        _, results = harness.classification_metrics(
-            run["cfg"], run["ds"], run["z_all"], enc,
-            Rng(seed).stream("classify"))
+        results = harness.cmd_classify(run["cfg"], run["out"])["results"]
         good = (results[("C", "rbf")]["f1"] >= results[("Z", "rbf")]["f1"]
                 and results[("C", "rbf")]["auc"] >= results[("Z", "rbf")]["auc"])
         votes += good
@@ -297,11 +293,7 @@ def test_criterion_10_orthogonality(pipelines):
     details = []
     for seed in SEEDS:
         run = pipelines[seed]
-        enc = harness.stage_encoder(
-            run["ws"], run["ds"], run["z_all"],
-            harness.probe_embedding_config(run["cfg"]), tag="encoder-probe",
-        )
-        values = harness.orthogonality_values(run["cfg"], run["ds"], run["z_all"], enc)
+        values = harness.cmd_probe_orthogonality(run["cfg"], run["out"])["values"]
         votes += values["C"] < values["Z"]
         details.append(f"seed{seed}: C={values['C']:.4f} Z={values['Z']:.4f}")
     ok = votes >= 2

@@ -8,7 +8,8 @@ from dynalign.contrastive import (
     train_encoder,
 )
 from dynalign.errors import ConfigError, InputError, ShapeError
-from dynalign.numcore import Rng, grad_check
+from dynalign.numcore import Rng
+from test_numcore import grad_check
 
 
 def brute_force_positives(taus, mus, delta_t, delta_y, traj_ids):

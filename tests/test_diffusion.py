@@ -8,7 +8,8 @@ from dynalign.diffusion import (
     load_model, make_schedule, sample_step, save_model, strided_steps, train,
 )
 from dynalign.errors import ConfigError, FormatError, NumericError, ShapeError
-from dynalign.numcore import Rng, grad_check
+from dynalign.numcore import Rng
+from test_numcore import grad_check
 
 
 def tiny_model(seed=0, D=4, T=50, hidden=(24, 24), randomize_output=False):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import RECORDED_NUMPY
+from conftest import RECORDED_NUMPY, recorded_build
 from dynalign import binio, harness, traversal
 from dynalign.errors import ConfigError, FormatError, InputError
 
@@ -38,6 +38,20 @@ TINY_OUTPUT_DIGESTS = {
     "kde-edit": "9b9bf710b334d9a73192692d37aff3dc66e4dc0f804a9af7da05009887bfceb2",
     "probe-orthogonality": "a5b6bd63da4eaab8ab53559ff25da9809708784626fb9dfd590a3098b3ecf4c7",
     "sweep-dim": "b70db8fa629922e4c22797a27772b466cf5abe3318b65c060aae2a57841010cc",
+}
+# sha256 of each cache artifact the four single-config commands write on TINY,
+# next to the STAGE_VERSION of its kind, recorded on the same build. Bytes
+# that move under an unchanged version are a missed bump: the old code's
+# cached artifacts would be served as the new code's.
+TINY_CACHE_DIGESTS = {
+    "dataset": (1, "3f294c78d814f755656c6b73f199cf27ed3ac5915f931767fcc773858b773a80"),
+    "diffusion": (1, "ab22bf4f04de0550eed37517f61e8cc1ff795772b5323603b02c3efdc0fbba3b"),
+    "latents": (1, "45770252a219889d23c8aff29987e51fefa8bbe5b4fca826e225f641df2f3699"),
+    "encoder": (2, "c01aa17231f04b04977086a30b56d93c61b9b74815bb821a75db63adbc066bab"),
+    "encoder-classify": (2, "0c783810261eae0e8beb88e1528886a798cabb06b51508bd066e2790ddb4ee00"),
+    "encoder-probe": (2, "c9fdafec5429fd866f0693be634f6920498117624aaab32d2340098ccfead149"),
+    "table": (1, "91db123b3c4def3dcea755b931d896be8e29222bb86a92ffead058f70e0b6ac3"),
+    "table-kde": (1, "2452a3c50338e070a0780bdbde4605416310506d42fe53a6d9cf16143319e398"),
 }
 # CLI children fail on a numpy floating-point warning, as the tests do.
 CLI_ENV = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
@@ -417,16 +431,37 @@ class TestStageChain:
         assert len(list(cache.glob("encoder-probe-*.bin"))) == 1
         assert not list(cache.glob("encoder-kde-*"))
 
-    def test_cache_names_and_stage_records_agree(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def four_commands(self, tmp_path_factory):
+        """The output directory of the four single-config commands run on
+        TINY, one after another, and their manifests."""
+        out = tmp_path_factory.mktemp("four-commands")
+        return out, [json.load(open(COMMANDS[command](tiny_config(), str(out))["manifest"]))
+                     for command in ("pipeline", "classify", "kde-edit", "probe-orthogonality")]
+
+    def test_cache_names_and_stage_records_agree(self, four_commands):
         # A change to how keys are derived must rename no cache file.
-        for command in ("pipeline", "classify", "kde-edit", "probe-orthogonality"):
-            manifest = json.load(open(COMMANDS[command](tiny_config(), str(tmp_path))["manifest"]))
+        out, manifests = four_commands
+        for manifest in manifests:
             for name, key in ((n, r["key"]) for n, r in manifest["stages"].items() if "cache" in r):
-                assert str(tmp_path / "cache" / f"{name}-{key}.bin") in manifest["artifacts"]
-        assert sorted(os.listdir(tmp_path / "cache")) == [
+                assert str(out / "cache" / f"{name}-{key}.bin") in manifest["artifacts"]
+        assert sorted(os.listdir(out / "cache")) == [
             "dataset-ccc0d8e7754e.bin", "diffusion-5d4d50a9261a.bin", "encoder-2b6dbd5c0239.bin",
             "encoder-classify-fbf4dac40840.bin", "encoder-probe-e8fb49e66f2b.bin",
             "latents-69fced9ed462.bin", "table-559ec685c9de.bin", "table-kde-0028cb71633b.bin"]
+
+    @recorded_build
+    def test_cache_bytes_move_only_with_a_version_bump(self, four_commands):
+        out, _ = four_commands
+        got = {}
+        for path in (out / "cache").glob("*.bin"):
+            name = path.name.rsplit("-", 1)[0]
+            got[name] = (harness.STAGE_VERSION[name.split("-")[0]],
+                         hashlib.sha256(path.read_bytes()).hexdigest())
+        moved = sorted(name for name, (version, digest) in TINY_CACHE_DIGESTS.items()
+                       if got[name][0] == version and got[name][1] != digest)
+        assert not moved, f"cache bytes moved under an unchanged STAGE_VERSION: bump {moved}"
+        assert got == TINY_CACHE_DIGESTS, "a STAGE_VERSION moved: re-record TINY_CACHE_DIGESTS"
 
     def test_steps_change_reuses_the_denoiser(self, tmp_path):
         for steps in (8, 4):
@@ -441,10 +476,8 @@ class TestStageChain:
     def test_stage_version_bump_misses_that_stage_and_its_descendants(
             self, tmp_path, monkeypatch, bumped):
         def run_chain():
-            ws = harness.Workspace(str(tmp_path), tiny_config())
-            ds, _, _, z_all, encoder = harness._upstream(ws, ws.cfg.embedding, "encoder")
-            harness.stage_table(ws, ds, z_all, harness.embed_frames(encoder, ds, z_all))
-            return cache_use(ws.stages)
+            res = harness.cmd_pipeline(tiny_config(), str(tmp_path))
+            return cache_use(json.load(open(res["manifest"]))["stages"])
 
         run_chain()
         monkeypatch.setitem(harness.STAGE_VERSION, bumped, harness.STAGE_VERSION[bumped] + 1)
@@ -670,7 +703,8 @@ class TestCli:
         assert proc.returncode == 3
         # One line: the exit-3 message, with no numpy overflow warning before it.
         assert len(proc.stderr.splitlines()) == 1
-        assert "diffusion training diverged" in proc.stderr
+        assert proc.stderr.startswith(
+            "numeric failure: stage diffusion: diffusion training diverged")
         assert "Traceback" not in proc.stderr
         cached = [p.name for p in (tmp_path / "runs" / "cache").iterdir()]
         assert len(cached) == 1 and cached[0].startswith("dataset-")
@@ -684,7 +718,7 @@ class TestCli:
         ("dataset", "t_max", 1e308, "trajectory 0 has non-finite states", "dataset-"),
         # sigma**2 is subnormal, so dist**2 / (2 sigma**2) overflows; no local
         # guard catches it, the command's floating-point policy does.
-        ("lifting", "sigma", 1e-160, "stage table: overflow", "table-"),
+        ("lifting", "sigma", 1e-160, "overflow", "table-"),
     ], ids=["tau", "sigma", "t_max", "sigma_subnormal"])
     def test_non_finite_numbers_exit_3_before_caching(self, tmp_path, section, key, value,
                                                        message, left):
@@ -698,8 +732,10 @@ class TestCli:
             capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 3
-        # One line: the exit-3 message, with no numpy warning before it.
+        # One line: the exit-3 message naming the stage that failed, with no
+        # numpy warning before it.
         assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"numeric failure: stage {left[:-1]}: ")
         assert message in proc.stderr
         assert not list((tmp_path / "runs" / "cache").glob(f"{left}*"))
 
@@ -819,11 +855,8 @@ def test_single_fold_equals_plain_split_eval(tmp_path):
     from dynalign.numcore import Rng
 
     ws = harness.Workspace(str(tmp_path), cfg)
-    ds = harness.stage_dataset(ws)
-    model, sched = harness.stage_diffusion(ws, ds)
-    z_all = harness.stage_latents(ws, ds, model, sched)
-    emb = dataclasses.replace(cfg.embedding, class_match=True)
-    enc = harness.stage_encoder(ws, ds, z_all, emb, tag="encoder-classify")
+    ds, _, _, z_all, _ = harness._upstream(
+        ws, dataclasses.replace(cfg.embedding, class_match=True), "encoder-classify")
 
     S = z_all.shape[1]
     stride = max(1, S // cfg.analysis.frames_per_traj_class)
@@ -852,16 +885,13 @@ class TestEndToEndControls:
 
         from dynalign.numcore import Rng
 
-        run = pipelines[0]
-        emb = dataclasses.replace(run["cfg"].embedding, class_match=True)
-        enc = harness.stage_encoder(run["ws"], run["ds"], run["z_all"], emb,
-                                    tag="encoder-classify")
-        labels = run["ds"].labels
-        shuffled = labels[Rng(99).permutation(labels.size)]
-        _, results = harness.classification_metrics(
-            run["cfg"], run["ds"], run["z_all"], enc,
-            Rng(0).stream("classify"), labels=shuffled,
-        )
+        cfg = pipelines[0]["cfg"]
+        ds, _, _, z_all, enc = harness._upstream(
+            harness.Workspace(pipelines[0]["out"], cfg),
+            dataclasses.replace(cfg.embedding, class_match=True), "encoder-classify")
+        shuffled = dataclasses.replace(ds, labels=ds.labels[Rng(99).permutation(ds.labels.size)])
+        _, results = harness.classification_metrics(cfg, shuffled, z_all, enc,
+                                                    Rng(0).stream("classify"))
         for key in (("Z", "rbf"), ("C", "rbf")):
             assert abs(results[key]["auc"] - 0.5) <= 0.1
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from dynalign import binio, lifting
 from dynalign.errors import FormatError, InputError, NumericError
 from dynalign.lifting import (
-    LiftingConfig, _distances, _median_heuristic, _nearest, _weights, build_table, lift,
-    lift_many, load_table, save_table, select_k,
+    LiftingConfig, _distances, _lifts, _median_heuristic, _nearest, _weights, build_table,
+    lift, lift_many, load_table, save_table, select_k,
 )
 from dynalign.metrics import rmse
 from dynalign.numcore import Rng, sq_dists
@@ -18,6 +19,11 @@ def toy_table(kernel="gaussian", k=3, sigma=1.0, n=20, d=3, D=6, seed=0):
     c = rng.stream("c").normal((n, d))
     z = rng.stream("z").normal((n, D))
     return build_table(c, z, LiftingConfig(kernel=kernel, sigma=sigma), k=k), c, z
+
+
+def lift_with_weights(table, queries):
+    """(latents, weights, neighbours) of a query batch at the table's k."""
+    return next(_lifts(table, queries, [table.k]))
 
 
 class TestBuildTable:
@@ -144,7 +150,7 @@ class TestLift:
             table, c, _ = toy_table(kernel=kernel, k=5)
             rng = Rng(6)
             queries = rng.normal((8, 3))
-            _, w, _ = lift_many(table, queries, return_weights=True)
+            _, w, _ = lift_with_weights(table, queries)
             assert np.all(w >= 0.0)
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
 
@@ -152,7 +158,7 @@ class TestLift:
         table, _, _ = toy_table(kernel="inverse", k=4)
         rng = Rng(7)
         queries = rng.normal((6, 3))
-        lifted, w, nbr = lift_many(table, queries, return_weights=True)
+        lifted, w, nbr = lift_with_weights(table, queries)
         for i in range(6):
             neigh = table.z_ref[nbr[i]]
             assert np.all(lifted[i] >= neigh.min(axis=0) - 1e-12)
@@ -160,7 +166,7 @@ class TestLift:
 
     def test_uniform_kernel_ignores_distances(self):
         table, _, _ = toy_table(kernel="uniform", k=4)
-        _, w, _ = lift_many(table, Rng(8).normal((5, 3)), return_weights=True)
+        _, w, _ = lift_with_weights(table, Rng(8).normal((5, 3)))
         assert np.allclose(w, 0.25)
 
     def test_nonfinite_query_rejected(self):
@@ -202,7 +208,7 @@ class TestSortOnce:
         table, q, _ = tied_table(kernel, metric)
         for k in (1, 2, 3, 5, 8, 30, 40):
             want = fresh_sort_lift(table, q, min(k, 30))
-            got = lift_many(table, q, k=k, return_weights=True)
+            got = lift_with_weights(dataclasses.replace(table, k=k), q)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert np.array_equal(lift_many(table, q), fresh_sort_lift(table, q, 4)[0])
 
@@ -249,7 +255,7 @@ class TestSelectK:
         got = select_k(table, grid, c[40:], z[40:])
         errs = {}
         for k in grid:
-            pred = lift_many(table, c[40:], k=k)
+            pred = lift_many(dataclasses.replace(table, k=k), c[40:])
             errs[k] = float(np.sqrt(np.mean((pred - z[40:]) ** 2)))
         best = min(sorted(errs), key=lambda k: errs[k])
         assert got == best

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from dynalign.errors import InputError
-from dynalign.numcore import Rng, grad_check
+from dynalign.numcore import Rng
 from dynalign.traversal import (
     RecurrentPredictor, _difference_operators, TexStencil, fit_spline, lerp, slerp, spline_traverse,
     stencil_from_window, tex_extrapolate, train_recurrent,
 )
+from test_numcore import grad_check
 
 
 class TestFitSpline:
