@@ -6,24 +6,31 @@ DDIM recursions map states to feature latents and back. The cumulative
 noise products use index 0..T with the t=0 boundary fixed at 1.
 """
 
+import contextvars
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio
 from .errors import ConfigError, NumericError, ShapeError
-from .numcore import Mlp, Rng, condition_features, fit, shuffled_batches, sinusoidal_features
+from .numcore import (Mlp, Rng, condition_features, fit, one_blas_thread, shuffled_batches,
+                      sinusoidal_features)
 
 CHECKPOINT_MAGIC = b"DNZ1"
 
 # DDIM carries its rows in max(1, n // DDIM_BLOCK_ROWS) blocks of near-equal
 # size, so every block of a large batch holds 512 to 1023 rows and a smaller
 # batch is one block. With OpenBLAS, the denoiser's GEMMs give every row of
-# a block of 512 rows or more the bits the full batch gives it, while 128- or
-# 256-row blocks move nearly every row (a small-matrix kernel takes the
-# 256 -> 12 output layer): so the blocks change no byte, and a frame's
-# latent does not depend on which other frames share its batch, as long as
-# that batch holds 512 rows or more. A short remainder block would move bits.
+# a block of 512 rows or more the bits the full batch gives it, at one BLAS
+# thread or two, while 128- or 256-row blocks move nearly every row (a
+# small-matrix kernel takes the 256 -> 12 output layer): so the blocks change
+# no byte, and a frame's latent does not depend on which other frames share
+# its batch, as long as that batch holds 512 rows or more. A short remainder
+# block would move bits. The blocks are independent, so the CPUs run them
+# side by side, one BLAS thread each (_ddim).
 DDIM_BLOCK_ROWS = 512
 
 
@@ -146,7 +153,7 @@ def train(model, ds, sched, epochs, batch, rng, lr=1e-3):
         eps = noise_rng.substream(key).normal((idx.size, x.shape[1]))
         return model.loss_and_grads(x[idx], t, eps, cond[idx], sched)
 
-    with model.net.reused_buffers():
+    with model.net.reused_buffers(), one_blas_thread():
         curve = fit(model.params, epochs, batches, loss_and_grads, lr, "diffusion")
     return model, curve
 
@@ -182,13 +189,46 @@ def invert_step(z, eps, t_lo, t_hi, sched):
     return np.sqrt(a_hi) * (z - np.sqrt(1.0 - a_lo) * eps) / root + np.sqrt(1.0 - a_hi) * eps
 
 
+def _in_lanes(lanes):
+    """Run the callables `lanes` at once: the first in this thread, each
+    other in a thread of its own and in a copy of this thread's context,
+    which carries numpy's floating-point policy. Every thread is joined,
+    also on an error; then the first lane's exception, in lane order, is
+    raised here."""
+    errors = [None] * len(lanes)
+
+    def guarded(k):
+        try:
+            lanes[k]()
+        except BaseException as exc:    # re-raised in the calling thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, k))
+               for k in range(1, len(lanes))]
+    try:
+        for thread in threads:
+            thread.start()
+        guarded(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:    # started
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _ddim(model, z, cond, sched, transitions, step):
     """Carry (n, D) rows `z` through the DDIM `transitions`, one block of
     rows after another (see DDIM_BLOCK_ROWS). Each (a, b) pair predicts the
     noise at step max(a, b) and moves the rows by step(z, eps, a, b, sched).
     A block's network input is built once, its condition features with it;
     each step rewrites its z columns and broadcasts one row of time
-    features."""
+    features. Two or more blocks are spread over one lane per CPU this
+    process may run on, at most one per block, each a run of consecutive
+    blocks on one BLAS thread; a block's rows get the same bits in any
+    lane. Each lane's input and work arrays are made here, before its
+    thread starts."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != model.state_dim:
         raise ShapeError(f"expected states (*, {model.state_dim}), got {z.shape}")
@@ -198,17 +238,32 @@ def _ddim(model, z, cond, sched, transitions, step):
     c0 = D + model.N_TIME_FEATURES          # first condition-feature column
     n_blocks = max(1, n // DDIM_BLOCK_ROWS)
     bounds = [n * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
+    rows = max(hi - lo for lo, hi in blocks)
     out = np.empty_like(z)
-    with model.net.reused_buffers():
-        for lo, hi in zip(bounds, bounds[1:]):
-            x = np.empty((hi - lo, model.net.dims[0]))
-            x[:, c0:] = condition_features(cond[lo:hi], model.N_COND_FEATURES)
-            zb = z[lo:hi]
-            for (a, b), t_row in zip(transitions, t_rows):
-                x[:, :D] = zb
-                x[:, D:c0] = t_row
-                zb = step(zb, model.net.forward(x), a, b, sched)
-            out[lo:hi] = zb
+
+    def run(mine, x, work=None):
+        with model.net.reused_buffers(work):
+            for lo, hi in mine:
+                xb = x[: hi - lo]
+                xb[:, c0:] = condition_features(cond[lo:hi], model.N_COND_FEATURES)
+                zb = z[lo:hi]
+                for (a, b), t_row in zip(transitions, t_rows):
+                    xb[:, :D] = zb
+                    xb[:, D:c0] = t_row
+                    zb = step(zb, model.net.forward(xb), a, b, sched)
+                out[lo:hi] = zb
+
+    n_lanes = min(n_blocks, len(os.sched_getaffinity(0)))
+    if n_lanes == 1:
+        run(blocks, np.empty((rows, model.net.dims[0])))
+        return out
+    cuts = [n_blocks * k // n_lanes for k in range(n_lanes + 1)]
+    lanes = [functools.partial(run, blocks[a:b], np.empty((rows, model.net.dims[0])),
+                               model.net.forward_buffers(rows))
+             for a, b in zip(cuts, cuts[1:])]
+    with one_blas_thread():
+        _in_lanes(lanes)
     return out
 
 

@@ -11,6 +11,7 @@ is given. Commands are deterministic under a fixed config.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -307,6 +308,10 @@ def load_config(path=None, seed=None):
 STAGE_VERSION = {"dataset": 1, "diffusion": 1, "latents": 1, "encoder": 2, "table": 1}
 # Digits the manifest keeps of a stage record's measurements.
 _RECORD_DIGITS = {"seconds": 3, "cpu_seconds": 3, "peak_rss_mb": 1}
+# The failures the CLI reports in one stderr line, exiting 2 (bad config,
+# input or file) or 3 (numerics); anything else is a traceback.
+USAGE_FAILURES = (ConfigError, InputError, FormatError)
+NUMERIC_FAILURES = (NumericError, FloatingPointError)
 
 LATENTS_MAGIC = b"LAT1"
 
@@ -322,11 +327,15 @@ class Workspace:
     """Output directory with keyed stage caching. It keeps one record per
     cached stage or timed block, `stages[name]`: its wall and CPU seconds,
     the process's peak RSS after it, and for a cached stage the key it was
-    served under and whether that was a cache "hit" or "miss"."""
+    served under and whether that was a cache "hit" or "miss". A block left
+    by an exception gets no record; `failed_stage` names it."""
 
-    def __init__(self, out_dir, cfg, force=False):
+    def __init__(self, out_dir, cfg, force=False, command=None):
         self.cfg = cfg
         self.force = force
+        self.command = command
+        self.out_dir = out_dir
+        self.failed_stage = None
         self.cache = os.path.join(out_dir, "cache")
         self.run_dir = os.path.join(out_dir, config_hash(cfg))
         os.makedirs(self.cache, exist_ok=True)
@@ -354,8 +363,11 @@ class Workspace:
         start, cpu_start = time.perf_counter(), time.process_time()
         try:
             yield
-        except (FloatingPointError, NumericError) as exc:
-            raise NumericError(f"stage {name}: {exc}") from exc
+        except Exception as exc:
+            self.failed_stage = name
+            if isinstance(exc, NUMERIC_FAILURES):
+                raise NumericError(f"stage {name}: {exc}") from exc
+            raise
         record = self.stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
         record["seconds"] += time.perf_counter() - start
         record["cpu_seconds"] += time.process_time() - cpu_start
@@ -375,9 +387,11 @@ class Workspace:
         self.artifacts.append(path)
         return artifact
 
-    def manifest(self, command, summary):
+    def manifest(self, summary, failure=None):
+        """Write this command's manifest; `failure`, for a failed run, goes
+        in with the records of the stages that finished."""
         doc = {
-            "command": command,
+            "command": self.command,
             "config_hash": config_hash(self.cfg),
             "config": config_to_dict(self.cfg),
             "artifacts": sorted(set(self.artifacts)),
@@ -386,7 +400,9 @@ class Workspace:
                        for name, record in self.stages.items()},
             "metrics_summary": summary,
         }
-        path = os.path.join(self.run_dir, f"manifest-{command}.json")
+        if failure is not None:
+            doc["failure"] = failure
+        path = os.path.join(self.run_dir, f"manifest-{self.command}.json")
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         return path
@@ -740,7 +756,29 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
 # Commands
 
 
-def _finish(ws, command, csv_name, rows, summary, images=None, **result):
+def _command(name):
+    """The command `name` as callers run it, (cfg, out_dir, *args,
+    force=False): the decorated body gets a new Workspace and the `args`.
+    A failure the CLI exits 2 or 3 on still writes the command's manifest,
+    with the records of the stages that finished and a `failure` object:
+    the stage it left (null outside every stage), the exit code and the
+    message."""
+    def wrap(body):
+        @functools.wraps(body)
+        def command(cfg, out_dir, *args, force=False):
+            ws = Workspace(out_dir, cfg, force, name)
+            try:
+                return body(ws, *args)
+            except USAGE_FAILURES + NUMERIC_FAILURES as exc:
+                code = 2 if isinstance(exc, USAGE_FAILURES) else 3
+                ws.manifest(None, {"stage": ws.failed_stage, "exit_code": code,
+                                   "message": str(exc)})
+                raise
+        return command
+    return wrap
+
+
+def _finish(ws, csv_name, rows, summary, images=None, **result):
     """Write a command's PGM images (name -> image, relative to the run
     directory) and CSV rows, then its manifest; returns the result dict."""
     for name, img in sorted((images or {}).items()):
@@ -750,11 +788,11 @@ def _finish(ws, command, csv_name, rows, summary, images=None, **result):
     csv_path = write_csv(os.path.join(ws.run_dir, csv_name), rows)
     ws.artifacts.append(csv_path)
     return dict(result, rows=rows, csv=csv_path, run_dir=ws.run_dir,
-                manifest=ws.manifest(command, summary))
+                manifest=ws.manifest(summary))
 
 
-def cmd_simulate(cfg, out_dir, force=False):
-    ws = Workspace(out_dir, cfg, force)
+@_command("simulate")
+def cmd_simulate(ws):
     ds = stage_dataset(ws)
     summary = {
         "n_traj": len(ds.splits),
@@ -762,12 +800,13 @@ def cmd_simulate(cfg, out_dir, force=False):
         "n_test": len(ds.indices("test")),
         "state_dim": ds.state_dim,
     }
-    manifest = ws.manifest("simulate", summary)
+    manifest = ws.manifest(summary)
     return {"dataset": ws.path("dataset", ws.stages["dataset"]["key"]), "manifest": manifest}
 
 
-def cmd_pipeline(cfg, out_dir, force=False):
-    ws = Workspace(out_dir, cfg, force)
+@_command("pipeline")
+def cmd_pipeline(ws):
+    cfg = ws.cfg
     ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
     with ws.timed("embed"):
         c_all = embed_frames(encoder, ds, z_all)
@@ -784,7 +823,7 @@ def cmd_pipeline(cfg, out_dir, force=False):
     with open(os.path.join(ws.run_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     images = {f"strips/{name}": img for name, img in strips.items()}
-    return _finish(ws, "pipeline", "pipeline.csv", rows, summary, images)
+    return _finish(ws, "pipeline.csv", rows, summary, images)
 
 
 def _band_folds(mus, folds):
@@ -852,8 +891,9 @@ def classification_metrics(cfg, ds, z_all, encoder, seed_rng):
     return rows, results
 
 
-def cmd_classify(cfg, out_dir, force=False):
-    ws = Workspace(out_dir, cfg, force)
+@_command("classify")
+def cmd_classify(ws):
+    cfg = ws.cfg
     emb = dataclasses.replace(cfg.embedding, class_match=True)
     ds, _, _, z_all, encoder = _upstream(ws, emb, "encoder-classify")
     with ws.timed("classify"):
@@ -861,11 +901,12 @@ def cmd_classify(cfg, out_dir, force=False):
             cfg, ds, z_all, encoder, Rng(cfg.seed).stream("classify")
         )
     summary = {f"{s}/{k}": v for (s, k), v in results.items()}
-    return _finish(ws, "classify", "classification.csv", rows, summary, results=results)
+    return _finish(ws, "classification.csv", rows, summary, results=results)
 
 
-def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False):
-    ws = Workspace(out_dir, cfg, force)
+@_command("kde-edit")
+def cmd_kde_edit(ws, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    cfg = ws.cfg
     # The morph works in the probe's structure-retaining compact space, so
     # the peak-to-peak segment crosses intermediate regimes instead of the
     # empty gap between class-collapsed clusters. At the default kde_d the
@@ -919,21 +960,22 @@ def cmd_kde_edit(cfg, out_dir, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0), force=False
             for eta, diff in zip(eta_list, diffs)]
     images = {"kde/morph-strip": hstack_images(frames),
               "kde/diff-strip": hstack_images([0.5 + 0.5 * diff for diff in diffs])}
-    return _finish(ws, "kde-edit", "kde.csv", rows, {"etas": list(map(float, eta_list))},
+    return _finish(ws, "kde.csv", rows, {"etas": list(map(float, eta_list))},
                    images, frames=frames,
                    peaks=(kde.m_class0.tolist(), kde.m_class1.tolist()))
 
 
-def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
+@_command("sweep-dim")
+def cmd_sweep_dim(ws, d_list):
+    cfg = ws.cfg
     if len(d_list) == 0:
         raise ConfigError("dimension list must be nonempty", field="sweep.d_list")
-    ws = Workspace(out_dir, cfg, force)
     rows = []
     for d in d_list:
         sub = validate_config(
             dataclasses.replace(cfg, embedding=dataclasses.replace(cfg.embedding, d=int(d))))
         tag = f"{cfg.dataset.name}:d{int(d)}"
-        res = cmd_pipeline(sub, out_dir, force=force)
+        res = cmd_pipeline(sub, ws.out_dir, force=ws.force)
         rows += [dict(r, dataset=tag) for r in res["rows"]]
         # Each dimension's pipeline keeps its own workspace; its manifest's
         # stage records and artifacts go into the sweep's, under "d<d>/".
@@ -941,7 +983,7 @@ def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
             done = json.load(fh)
         ws.stages.update({f"d{int(d)}/{k}": v for k, v in done["stages"].items()})
         ws.artifacts += done["artifacts"] + [res["manifest"]]
-    return _finish(ws, "sweep-dim", "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
+    return _finish(ws, "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
 
 
 def probe_embedding_config(cfg, d=None):
@@ -959,8 +1001,9 @@ def probe_embedding_config(cfg, d=None):
     )
 
 
-def cmd_probe_orthogonality(cfg, out_dir, force=False):
-    ws = Workspace(out_dir, cfg, force)
+@_command("probe-orthogonality")
+def cmd_probe_orthogonality(ws):
+    cfg = ws.cfg
     ds, _, _, z_all, encoder = _upstream(ws, probe_embedding_config(cfg), "encoder-probe")
     with ws.timed("probe"):
         test = ds.stack("test", z=z_all)
@@ -970,7 +1013,7 @@ def cmd_probe_orthogonality(cfg, out_dir, force=False):
     n = test["z"].shape[0]
     rows = [row(cfg, space, "ols-probe", "regression_cosine", v, n)
             for space, v in values.items()]
-    return _finish(ws, "probe-orthogonality", "orthogonality.csv", rows, values,
+    return _finish(ws, "orthogonality.csv", rows, values,
                    values=values)
 
 
@@ -1028,27 +1071,27 @@ def main(argv=None):
         # numcore._sigmoid, the MGU gate, adam_step, generate_oscillator.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.command == "simulate":
-                result = cmd_simulate(cfg, args.out, args.force)
+                result = cmd_simulate(cfg, args.out, force=args.force)
             elif args.command == "pipeline":
-                result = cmd_pipeline(cfg, args.out, args.force)
+                result = cmd_pipeline(cfg, args.out, force=args.force)
             elif args.command == "classify":
-                result = cmd_classify(cfg, args.out, args.force)
+                result = cmd_classify(cfg, args.out, force=args.force)
             elif args.command == "kde-edit":
                 etas = _cli_list(args.etas, "--etas", float, lambda v: 0.0 <= v <= 1.0,
                                  "numbers in [0, 1]")
-                result = cmd_kde_edit(cfg, args.out, etas, args.force)
+                result = cmd_kde_edit(cfg, args.out, etas, force=args.force)
             elif args.command == "sweep-dim":
                 dims = _cli_list(args.dims, "--dims", int, lambda v: v >= 1,
                                  "dimensions of at least 1")
-                result = cmd_sweep_dim(cfg, args.out, dims, args.force)
+                result = cmd_sweep_dim(cfg, args.out, dims, force=args.force)
             elif args.command == "probe-orthogonality":
-                result = cmd_probe_orthogonality(cfg, args.out, args.force)
+                result = cmd_probe_orthogonality(cfg, args.out, force=args.force)
             else:  # pragma: no cover
                 raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, InputError, FormatError) as exc:
+    except USAGE_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, FloatingPointError) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     for key in ("csv", "manifest", "dataset"):

@@ -10,6 +10,7 @@ import contextlib
 import ctypes
 import hashlib
 import math
+import threading
 
 import numpy as np
 
@@ -82,9 +83,12 @@ _BLAS_THREADS = _blas_thread_control()
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the previous count on
-    exit; a no-op where no thread control was found. The narrow models
-    train inside it: a second thread buys their GEMMs no wall time, spins
-    between them, and splits their sums by the thread count."""
+    exit; a no-op where no thread control was found. The count is the
+    process's, so it holds in every thread while the block runs. Every
+    model trains inside it, and DDIM runs its row-block lanes inside it
+    (diffusion._ddim): a second BLAS thread buys those GEMMs little or no
+    wall time, spins between them, and splits the narrow models' sums by
+    the thread count."""
     if _BLAS_THREADS is None:
         yield
         return
@@ -290,26 +294,39 @@ class Mlp:
                 w = rng.normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
             self.params[f"w{i}"] = w
             self.params[f"b{i}"] = np.zeros(fan_out)
-        self._work = None
+        self._local = threading.local()     # each thread's reused_buffers work arrays
 
     @property
     def n_layers(self):
         return len(self.dims) - 1
 
+    @property
+    def _work(self):
+        return getattr(self._local, "work", None)
+
     @contextlib.contextmanager
-    def reused_buffers(self):
+    def reused_buffers(self, work=None):
         """Within the block (one training or DDIM run), forward and backward
         write into work arrays kept per role, each grown to the largest row
         count seen, and reuse them call after call; on exit they are
         released. A forward's output and cache, and backward's gradients,
         then last only until the next call of the same kind, which a
         training step or a DDIM step never outlives. Outside the block
-        every call allocates fresh arrays."""
-        outer, self._work = self._work, {}
+        every call allocates fresh arrays. Each thread holds its own work
+        arrays; `work`, from `forward_buffers`, starts them with arrays
+        made beforehand, in another thread say."""
+        local = self._local
+        outer, local.work = self._work, {} if work is None else work
         try:
             yield
         finally:
-            self._work = outer
+            local.work = outer
+
+    def forward_buffers(self, rows):
+        """Work arrays for `reused_buffers(work)` that forwards of up to
+        `rows` rows without a cache fill without growing."""
+        size = rows * max(self.dims[1:])
+        return {role: np.empty(size) for role in (("act", 0), ("act", 1), "gate")}
 
     def _array(self, role, *shape):
         """An uninitialised float64 array of `shape` for `role`: a view of

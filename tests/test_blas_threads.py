@@ -58,8 +58,7 @@ class TestOneBlasThread:
         with numcore.one_blas_thread():
             assert get() == 2
 
-    def test_narrow_trainings_run_on_one_thread_and_the_denoiser_on_the_outer_count(
-            self, two_threads, monkeypatch, tmp_path):
+    def test_every_training_runs_on_one_thread(self, two_threads, monkeypatch, tmp_path):
         seen = {}
 
         def recording(name, owner, attr):
@@ -78,7 +77,7 @@ class TestOneBlasThread:
         cfg = tiny_config()
         harness.cmd_pipeline(cfg, str(tmp_path))
         harness.cmd_classify(cfg, str(tmp_path))
-        assert seen == {"denoiser": {2}, "encoder": {1}, "recurrent": {1},
+        assert seen == {"denoiser": {1}, "encoder": {1}, "recurrent": {1},
                         "svm": {1}, "decision": {1}}
         assert blas_threads() == 2
 
@@ -102,17 +101,57 @@ print(digest.hexdigest())
 """
 
 
-@needs_control
-def test_recurrent_training_bits_do_not_depend_on_the_blas_thread_count():
-    # Only 1 and 2 threads could be checked on the 2-core machine this was
-    # written on; the affinity count joins them where it is larger.
-    counts = [1, 2] + [n for n in [len(os.sched_getaffinity(0))] if n > 2]
+# A small denoiser (the trained shape's 256-wide layers, on 12-dim states),
+# two epochs, then a 1100-row inversion: two DDIM row blocks, run in two
+# lanes where the process may use two CPUs, or serially with "serial".
+DENOISER_DIGEST = """
+import hashlib
+import os
+import sys
+from dynalign import diffusion, dynsim
+from dynalign.numcore import Rng
+if sys.argv[1:] == ["serial"]:
+    os.sched_getaffinity = lambda pid: {0}
+ds = dynsim.generate_oscillator(n_traj=10, frames_per_traj=16, mu_range=(0.2, 1.0), seed=0)
+sched = diffusion.make_schedule(100)
+model = diffusion.DenoiserModel(12, 100, rng=Rng(0).stream("init"))
+diffusion.train(model, ds, sched, 2, 32, Rng(0).stream("train"))
+rng = Rng(1)
+latents = diffusion.ddim_invert(model, rng.stream("z").normal((1100, 12)),
+                                rng.stream("c").uniform(0, 1, (1100, 2)), sched, 8)
+digest = hashlib.sha256()
+for key in sorted(model.params):
+    digest.update(key.encode() + model.params[key].tobytes())
+print(digest.hexdigest(), hashlib.sha256(latents.tobytes()).hexdigest())
+"""
+
+
+def digests(script, runs):
+    """The distinct outputs of `script`, one child process per (BLAS thread
+    count, arguments) run."""
     src = str(Path(dynalign.__file__).parents[1])
-    digests = set()
-    for n in counts:
+    out = set()
+    for n, args in runs:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(n), "OMP_NUM_THREADS": str(n),
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", RECURRENT_DIGEST],
+        proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True, env=env, check=True)
-        digests.add(proc.stdout.strip())
-    assert len(digests) == 1
+        out.add(proc.stdout.strip())
+    return out
+
+
+def thread_counts():
+    # Only 1 and 2 threads could be checked on the 2-core machine this was
+    # written on; the affinity count joins them where it is larger.
+    return [1, 2] + [n for n in [len(os.sched_getaffinity(0))] if n > 2]
+
+
+@needs_control
+def test_recurrent_training_bits_do_not_depend_on_the_blas_thread_count():
+    assert len(digests(RECURRENT_DIGEST, [(n, []) for n in thread_counts()])) == 1
+
+
+@needs_control
+def test_denoiser_bits_do_not_depend_on_the_blas_thread_count_or_the_lanes():
+    runs = [(n, []) for n in thread_counts()] + [(2, ["serial"])]
+    assert len(digests(DENOISER_DIGEST, runs)) == 1

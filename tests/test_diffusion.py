@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -327,6 +330,23 @@ class TestRowBlocks:
             ddim_invert(model, np.zeros((n, 4)), np.zeros((n, 2)), sched, 1)
             assert sum(seen) == n
             assert all(512 <= rows <= 1023 for rows in seen) if n >= 512 else seen == [n]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one lane on one CPU")
+    def test_a_lane_keeps_the_floating_point_policy_and_raises_in_the_caller(
+            self, monkeypatch):
+        # Two blocks, so two lanes; only the second lane's rows overflow.
+        model, sched = block_model(), make_schedule(1000)
+        z = np.zeros((1024, 12))
+        z[512:] = 1e308
+        callers = set()
+        forward = model.net.forward
+        monkeypatch.setattr(model.net, "forward",
+                            lambda x: callers.add(threading.current_thread()) or forward(x))
+        before = set(threading.enumerate())
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ddim_invert(model, z, np.zeros((1024, 2)), sched, self.STEPS)
+        assert len(callers) == 2 and threading.current_thread() in callers
+        assert set(threading.enumerate()) == before
 
     def test_state_and_condition_shapes_are_checked(self):
         model, sched = tiny_model(T=40), make_schedule(40)

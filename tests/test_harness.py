@@ -709,6 +709,33 @@ class TestCli:
         cached = [p.name for p in (tmp_path / "runs" / "cache").iterdir()]
         assert len(cached) == 1 and cached[0].startswith("dataset-")
 
+    @pytest.mark.parametrize("command,section,doc,code,stage,message", [
+        ("pipeline", "diffusion", {"lr": 1e9}, 3, "diffusion",
+         "stage diffusion: diffusion training diverged at epoch 1"),
+        ("classify", "dataset", {"mu_range": [0.5, 0.5]}, 2, "classify",
+         "no fold's training set holds both classes"),
+    ], ids=["numeric", "input"])
+    def test_failed_run_keeps_a_manifest(self, tmp_path, capsys, command, section, doc, code,
+                                         stage, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**TINY, section: {**TINY[section], **doc}}))
+        assert harness.main([command, "--config", str(cfgfile),
+                             "--out", str(tmp_path / "runs")]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        [path] = (tmp_path / "runs").glob(f"*/manifest-{command}.json")
+        manifest = json.loads(path.read_text())
+        failure = manifest.pop("failure")
+        assert failure["stage"] == stage and failure["exit_code"] == code
+        assert message in failure["message"] and failure["message"] in err
+        # The records of the stages that finished before it, and no other.
+        finished = {"dataset"} if stage == "diffusion" else {
+            "dataset", "diffusion", "latents", "encoder-classify"}
+        assert set(manifest["stages"]) == finished
+        assert_cpu_and_peak_rss_per_entry(manifest)
+        assert manifest["metrics_summary"] is None
+        assert all(os.path.exists(p) for p in manifest["artifacts"])
+
     @pytest.mark.parametrize("section,key,value,message,left", [
         # The encoder's squared gradient overflows in Adam.
         ("embedding", "tau", 1e-300, "squared gradient in parameter block", "encoder-"),
