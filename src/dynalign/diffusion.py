@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
+from . import binio, numcore
 from .errors import ConfigError, NumericError, ShapeError
 from .numcore import (Mlp, Rng, condition_features, fit, one_blas_thread, shuffled_batches,
                       sinusoidal_features)
@@ -189,12 +189,21 @@ def invert_step(z, eps, t_lo, t_hi, sched):
     return np.sqrt(a_hi) * (z - np.sqrt(1.0 - a_lo) * eps) / root + np.sqrt(1.0 - a_hi) * eps
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _in_lanes(lanes):
     """Run the callables `lanes` at once: the first in this thread, each
     other in a thread of its own and in a copy of this thread's context,
     which carries numpy's floating-point policy. Every thread is joined,
     also on an error; then the first lane's exception, in lane order, is
-    raised here."""
+    raised here. Plain threads, not concurrent.futures: importing that
+    package (logging with it) raised a cold pipeline's peak RSS by 1 MB."""
     errors = [None] * len(lanes)
 
     def guarded(k):
@@ -220,15 +229,16 @@ def _in_lanes(lanes):
 
 def _ddim(model, z, cond, sched, transitions, step):
     """Carry (n, D) rows `z` through the DDIM `transitions`, one block of
-    rows after another (see DDIM_BLOCK_ROWS). Each (a, b) pair predicts the
-    noise at step max(a, b) and moves the rows by step(z, eps, a, b, sched).
-    A block's network input is built once, its condition features with it;
-    each step rewrites its z columns and broadcasts one row of time
-    features. Two or more blocks are spread over one lane per CPU this
-    process may run on, at most one per block, each a run of consecutive
-    blocks on one BLAS thread; a block's rows get the same bits in any
-    lane. Each lane's input and work arrays are made here, before its
-    thread starts."""
+    rows after another (see DDIM_BLOCK_ROWS), on one BLAS thread. Each
+    (a, b) pair predicts the noise at step max(a, b) and moves the rows by
+    step(z, eps, a, b, sched). A block's network input is built once, its
+    condition features with it; each step rewrites its z columns and
+    broadcasts one row of time features. Two or more blocks are spread
+    over one lane per CPU this process may run on, at most one per block,
+    each a run of consecutive blocks; a block's rows get the same bits in
+    any lane. Each lane's input and work arrays are made here, before its
+    thread starts. Without OpenBLAS thread control (numcore) every block
+    runs in this thread, at the environment's BLAS thread count."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != model.state_dim:
         raise ShapeError(f"expected states (*, {model.state_dim}), got {z.shape}")
@@ -242,7 +252,7 @@ def _ddim(model, z, cond, sched, transitions, step):
     rows = max(hi - lo for lo, hi in blocks)
     out = np.empty_like(z)
 
-    def run(mine, x, work=None):
+    def run(mine, x, work):
         with model.net.reused_buffers(work):
             for lo, hi in mine:
                 xb = x[: hi - lo]
@@ -254,10 +264,8 @@ def _ddim(model, z, cond, sched, transitions, step):
                     zb = step(zb, model.net.forward(xb), a, b, sched)
                 out[lo:hi] = zb
 
-    n_lanes = min(n_blocks, len(os.sched_getaffinity(0)))
-    if n_lanes == 1:
-        run(blocks, np.empty((rows, model.net.dims[0])))
-        return out
+    serial = n_blocks == 1 or numcore._BLAS_THREADS is None
+    n_lanes = 1 if serial else min(n_blocks, usable_cpus())
     cuts = [n_blocks * k // n_lanes for k in range(n_lanes + 1)]
     lanes = [functools.partial(run, blocks[a:b], np.empty((rows, model.net.dims[0])),
                                model.net.forward_buffers(rows))

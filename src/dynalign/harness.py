@@ -402,10 +402,13 @@ class Workspace:
         }
         if failure is not None:
             doc["failure"] = failure
-        path = os.path.join(self.run_dir, f"manifest-{self.command}.json")
-        with open(path, "w") as fh:
+        with open(self.manifest_path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
-        return path
+        return self.manifest_path
+
+    @property
+    def manifest_path(self):
+        return os.path.join(self.run_dir, f"manifest-{self.command}.json")
 
 
 def stage_dataset(ws):
@@ -762,7 +765,9 @@ def _command(name):
     A failure the CLI exits 2 or 3 on still writes the command's manifest,
     with the records of the stages that finished and a `failure` object:
     the stage it left (null outside every stage), the exit code and the
-    message."""
+    message. It leaves a successful run's manifest in place: that run's
+    CSV and images are still there (kde-edit's etas, say, are not in the
+    config hash), and the manifest describes them."""
     def wrap(body):
         @functools.wraps(body)
         def command(cfg, out_dir, *args, force=False):
@@ -770,12 +775,22 @@ def _command(name):
             try:
                 return body(ws, *args)
             except USAGE_FAILURES + NUMERIC_FAILURES as exc:
-                code = 2 if isinstance(exc, USAGE_FAILURES) else 3
-                ws.manifest(None, {"stage": ws.failed_stage, "exit_code": code,
-                                   "message": str(exc)})
+                if not _succeeded(ws.manifest_path):
+                    code = 2 if isinstance(exc, USAGE_FAILURES) else 3
+                    ws.manifest(None, {"stage": ws.failed_stage, "exit_code": code,
+                                       "message": str(exc)})
                 raise
         return command
     return wrap
+
+
+def _succeeded(manifest_path):
+    """Whether `manifest_path` holds the manifest of a successful run."""
+    try:
+        with open(manifest_path) as fh:
+            return "failure" not in json.load(fh)
+    except (OSError, ValueError):
+        return False
 
 
 def _finish(ws, csv_name, rows, summary, images=None, **result):
@@ -965,11 +980,15 @@ def cmd_kde_edit(ws, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0)):
                    peaks=(kde.m_class0.tolist(), kde.m_class1.tolist()))
 
 
-@_command("sweep-dim")
-def cmd_sweep_dim(ws, d_list):
-    cfg = ws.cfg
-    if len(d_list) == 0:
+def cmd_sweep_dim(cfg, out_dir, d_list, force=False):
+    if len(d_list) == 0:    # before the workspace, which would make directories
         raise ConfigError("dimension list must be nonempty", field="sweep.d_list")
+    return _sweep_dim(cfg, out_dir, d_list, force=force)
+
+
+@_command("sweep-dim")
+def _sweep_dim(ws, d_list):
+    cfg = ws.cfg
     rows = []
     for d in d_list:
         sub = validate_config(

@@ -85,10 +85,10 @@ def one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the previous count on
     exit; a no-op where no thread control was found. The count is the
     process's, so it holds in every thread while the block runs. Every
-    model trains inside it, and DDIM runs its row-block lanes inside it
-    (diffusion._ddim): a second BLAS thread buys those GEMMs little or no
-    wall time, spins between them, and splits the narrow models' sums by
-    the thread count."""
+    model trains inside it, and every DDIM run (diffusion._ddim, whose
+    row-block lanes use the other CPUs): a second BLAS thread buys those
+    GEMMs little or no wall time, spins between them, and splits the
+    narrow models' sums by the thread count."""
     if _BLAS_THREADS is None:
         yield
         return

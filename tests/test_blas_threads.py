@@ -143,7 +143,7 @@ def digests(script, runs):
 def thread_counts():
     # Only 1 and 2 threads could be checked on the 2-core machine this was
     # written on; the affinity count joins them where it is larger.
-    return [1, 2] + [n for n in [len(os.sched_getaffinity(0))] if n > 2]
+    return [1, 2] + [n for n in [diffusion.usable_cpus()] if n > 2]
 
 
 @needs_control

@@ -1,3 +1,4 @@
+import functools
 import os
 import threading
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import recorded_build
-from dynalign import binio, diffusion, dynsim
+from dynalign import binio, diffusion, dynsim, numcore
 from dynalign.diffusion import (
     DenoiserModel, ddim_invert, ddim_sample, forward_noise, invert_step,
     load_model, make_schedule, sample_step, save_model, strided_steps, train,
@@ -331,7 +332,32 @@ class TestRowBlocks:
             assert sum(seen) == n
             assert all(512 <= rows <= 1023 for rows in seen) if n >= 512 else seen == [n]
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one lane on one CPU")
+    def inversion_1100(self):
+        """Two blocks, so two lanes on two CPUs or more."""
+        model, sched, rng = block_model(), make_schedule(1000), Rng(3)
+        args = rng.stream("z").normal((1100, 12)), rng.stream("c").uniform(0, 1, (1100, 2))
+        return functools.partial(ddim_invert, model, *args, sched, self.STEPS), model
+
+    def test_lanes_follow_the_cpu_count_where_there_is_no_affinity_set(self, monkeypatch):
+        invert, _ = self.inversion_1100()
+        want = invert()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)    # as on macOS
+        assert diffusion.usable_cpus() == (os.cpu_count() or 1)
+        assert np.array_equal(invert(), want)
+
+    def test_without_blas_thread_control_every_block_runs_in_the_caller(self, monkeypatch):
+        invert, model = self.inversion_1100()
+        want = invert()
+        callers = set()
+        forward = model.net.forward
+        monkeypatch.setattr(model.net, "forward",
+                            lambda x: callers.add(threading.current_thread()) or forward(x))
+        monkeypatch.setattr(numcore, "_BLAS_THREADS", None)
+        assert np.array_equal(invert(), want)
+        assert callers == {threading.current_thread()}
+
+    @pytest.mark.skipif(numcore._BLAS_THREADS is None or diffusion.usable_cpus() < 2,
+                        reason="one lane: one CPU or no OpenBLAS thread control")
     def test_a_lane_keeps_the_floating_point_policy_and_raises_in_the_caller(
             self, monkeypatch):
         # Two blocks, so two lanes; only the second lane's rows overflow.

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import RECORDED_NUMPY, recorded_build
 from dynalign import binio, harness, traversal
-from dynalign.errors import ConfigError, FormatError, InputError
+from dynalign.errors import ConfigError, FormatError, InputError, NumericError
 
 
 TINY = {
@@ -352,7 +352,8 @@ def test_spline_in_z_without_pca(tmp_path):
 class TestSweepAndErrors:
     def test_empty_dim_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [])
+            harness.cmd_sweep_dim(tiny_config(), str(tmp_path / "runs"), [])
+        assert not (tmp_path / "runs").exists()
         with pytest.raises(ConfigError, match="embedding.d"):
             harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [0])
 
@@ -735,6 +736,18 @@ class TestCli:
         assert_cpu_and_peak_rss_per_entry(manifest)
         assert manifest["metrics_summary"] is None
         assert all(os.path.exists(p) for p in manifest["artifacts"])
+
+    def test_failed_run_leaves_a_successful_manifest_in_place(self, tmp_path, monkeypatch):
+        cfg, out = tiny_config(), str(tmp_path)
+        path = harness.cmd_simulate(cfg, out)["manifest"]
+        kept = open(path).read()
+
+        def failing(ws):
+            raise NumericError("boom")
+        monkeypatch.setattr(harness, "stage_dataset", failing)
+        with pytest.raises(NumericError):
+            harness.cmd_simulate(cfg, out, force=True)
+        assert open(path).read() == kept
 
     @pytest.mark.parametrize("section,key,value,message,left", [
         # The encoder's squared gradient overflows in Adam.
