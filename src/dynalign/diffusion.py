@@ -153,7 +153,7 @@ def train(model, ds, sched, epochs, batch, rng, lr=1e-3):
         eps = noise_rng.substream(key).normal((idx.size, x.shape[1]))
         return model.loss_and_grads(x[idx], t, eps, cond[idx], sched)
 
-    with model.net.reused_buffers(), one_blas_thread():
+    with model.net.reused_buffers():
         curve = fit(model.params, epochs, batches, loss_and_grads, lr, "diffusion")
     return model, curve
 

@@ -9,6 +9,7 @@ is given. Commands are deterministic under a fixed config.
 """
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -358,8 +359,8 @@ class Workspace:
     def timed(self, name):
         """Add the wall and CPU seconds of the block to stages[name], and
         record the process's peak RSS after it there. A numeric failure
-        raised inside, a floating-point error (see `main`) included, leaves as
-        NumericError naming the stage."""
+        raised inside, a floating-point error (see `_command`) included,
+        leaves as NumericError naming the stage."""
         start, cpu_start = time.perf_counter(), time.process_time()
         try:
             yield
@@ -758,10 +759,24 @@ def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
 # ---------------------------------------------------------------------------
 # Commands
 
+# Every command the CLI runs, by name, each as `_command` registered it.
+COMMANDS = {}
+ListFlag = collections.namedtuple("ListFlag", "flag default kind ok what help")
+# The list flag of each command that takes one: its default, the type and
+# check of its entries, their wording in an error, and its help.
+LIST_FLAGS = {
+    "kde-edit": ListFlag("--etas", (0.0, 0.25, 0.5, 0.75, 1.0), float,
+                         lambda v: 0.0 <= v <= 1.0, "numbers in [0, 1]",
+                         "comma-separated traversal positions in [0, 1]"),
+    "sweep-dim": ListFlag("--dims", (2, 3, 4, 8, 16), int, lambda v: v >= 1,
+                          "dimensions of at least 1", "comma-separated embedding dims"),
+}
+
 
 def _command(name):
-    """The command `name` as callers run it, (cfg, out_dir, *args,
-    force=False): the decorated body gets a new Workspace and the `args`.
+    """Register the command `name` as callers run it, (cfg, out_dir, *args,
+    force=False): the decorated body gets a new Workspace and the `args`,
+    and runs under one floating-point policy, from the CLI or in-process.
     A failure the CLI exits 2 or 3 on still writes the command's manifest,
     with the records of the stages that finished and a `failure` object:
     the stage it left (null outside every stage), the exit code and the
@@ -773,13 +788,19 @@ def _command(name):
         def command(cfg, out_dir, *args, force=False):
             ws = Workspace(out_dir, cfg, force, name)
             try:
-                return body(ws, *args)
+                # Overflow, division by zero and invalid operations raise
+                # (exit 3). The declared exceptions are local errstate
+                # blocks whose overflow is exact or checked right after:
+                # numcore._sigmoid, the MGU gate, adam_step, generate_oscillator.
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    return body(ws, *args)
             except USAGE_FAILURES + NUMERIC_FAILURES as exc:
                 if not _succeeded(ws.manifest_path):
                     code = 2 if isinstance(exc, USAGE_FAILURES) else 3
                     ws.manifest(None, {"stage": ws.failed_stage, "exit_code": code,
                                        "message": str(exc)})
                 raise
+        COMMANDS[name] = command
         return command
     return wrap
 
@@ -795,7 +816,8 @@ def _succeeded(manifest_path):
 
 def _finish(ws, csv_name, rows, summary, images=None, **result):
     """Write a command's PGM images (name -> image, relative to the run
-    directory) and CSV rows, then its manifest; returns the result dict."""
+    directory) and CSV rows, then its manifest; returns the result dict,
+    with the stage records and artifacts the manifest lists."""
     for name, img in sorted((images or {}).items()):
         path = os.path.join(ws.run_dir, f"{name}.pgm")
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -803,7 +825,7 @@ def _finish(ws, csv_name, rows, summary, images=None, **result):
     csv_path = write_csv(os.path.join(ws.run_dir, csv_name), rows)
     ws.artifacts.append(csv_path)
     return dict(result, rows=rows, csv=csv_path, run_dir=ws.run_dir,
-                manifest=ws.manifest(summary))
+                manifest=ws.manifest(summary), stages=ws.stages, artifacts=ws.artifacts)
 
 
 @_command("simulate")
@@ -835,8 +857,6 @@ def cmd_pipeline(ws):
         for r in rows
         if r["metric"] in ("rmse", "rmse_norm")
     }
-    with open(os.path.join(ws.run_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
     images = {f"strips/{name}": img for name, img in strips.items()}
     return _finish(ws, "pipeline.csv", rows, summary, images)
 
@@ -920,7 +940,7 @@ def cmd_classify(ws):
 
 
 @_command("kde-edit")
-def cmd_kde_edit(ws, eta_list=(0.0, 0.25, 0.5, 0.75, 1.0)):
+def cmd_kde_edit(ws, eta_list=LIST_FLAGS["kde-edit"].default):
     cfg = ws.cfg
     # The morph works in the probe's structure-retaining compact space, so
     # the peak-to-peak segment crosses intermediate regimes instead of the
@@ -996,13 +1016,14 @@ def _sweep_dim(ws, d_list):
         tag = f"{cfg.dataset.name}:d{int(d)}"
         res = cmd_pipeline(sub, ws.out_dir, force=ws.force)
         rows += [dict(r, dataset=tag) for r in res["rows"]]
-        # Each dimension's pipeline keeps its own workspace; its manifest's
-        # stage records and artifacts go into the sweep's, under "d<d>/".
-        with open(res["manifest"]) as fh:
-            done = json.load(fh)
-        ws.stages.update({f"d{int(d)}/{k}": v for k, v in done["stages"].items()})
-        ws.artifacts += done["artifacts"] + [res["manifest"]]
+        # Each dimension's pipeline keeps its own workspace; its stage
+        # records and artifacts go into the sweep's, under "d<d>/".
+        ws.stages.update({f"d{int(d)}/{k}": v for k, v in res["stages"].items()})
+        ws.artifacts += res["artifacts"] + [res["manifest"]]
     return _finish(ws, "sweep-dim.csv", rows, {"d_list": [int(d) for d in d_list]})
+
+
+COMMANDS["sweep-dim"] = cmd_sweep_dim    # the list is checked before the workspace
 
 
 def probe_embedding_config(cfg, d=None):
@@ -1032,19 +1053,11 @@ def cmd_probe_orthogonality(ws):
     n = test["z"].shape[0]
     rows = [row(cfg, space, "ols-probe", "regression_cosine", v, n)
             for space, v in values.items()]
-    return _finish(ws, "orthogonality.csv", rows, values,
-                   values=values)
+    return _finish(ws, "orthogonality.csv", rows, values, values=values)
 
 
 # ---------------------------------------------------------------------------
 # CLI
-
-
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON config path (defaults used if omitted)")
-    p.add_argument("--out", default="runs", help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--force", action="store_true", help="recompute cached stages")
 
 
 def build_parser():
@@ -1053,27 +1066,31 @@ def build_parser():
         description="Latent-dynamics editing experiments on synthetic trajectories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "pipeline", "classify", "probe-orthogonality"):
-        _add_common(sub.add_parser(name))
-    p = sub.add_parser("kde-edit")
-    _add_common(p)
-    p.add_argument("--etas", default="0,0.25,0.5,0.75,1",
-                   help="comma-separated traversal positions in [0, 1]")
-    p = sub.add_parser("sweep-dim")
-    _add_common(p)
-    p.add_argument("--dims", default="2,3,4,8,16", help="comma-separated embedding dims")
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="JSON config path (defaults used if omitted)")
+        p.add_argument("--out", default="runs", help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--force", action="store_true", help="recompute cached stages")
+        if name in LIST_FLAGS:
+            spec = LIST_FLAGS[name]
+            p.add_argument(spec.flag, default=",".join(f"{v:g}" for v in spec.default),
+                           help=spec.help)
     sub.add_parser("config-schema")
     return parser
 
 
-def _cli_list(text, flag, convert, ok, what):
-    """The entries of a non-empty comma-separated list flag, each `ok`."""
+def _cli_list(text, command):
+    """The entries of `command`'s list flag from its comma-separated `text`:
+    at least one, each passing the flag's check."""
+    spec = LIST_FLAGS[command]
     try:
-        values = [convert(x) for x in text.split(",") if x != ""]
+        values = [spec.kind(x) for x in text.split(",") if x != ""]
     except ValueError:
         values = []
-    if not values or not all(map(ok, values)):
-        raise ConfigError(f"must be a comma-separated list of {what}, got {text!r}", field=flag)
+    if not values or not all(map(spec.ok, values)):
+        raise ConfigError(f"must be a comma-separated list of {spec.what}, got {text!r}",
+                          field=spec.flag)
     return values
 
 
@@ -1084,29 +1101,9 @@ def main(argv=None):
             print(json.dumps(config_schema(), indent=2, sort_keys=True))
             return 0
         cfg = load_config(args.config, args.seed)
-        # One floating-point policy: overflow, division by zero and invalid
-        # operations raise (exit 3). The declared exceptions are local
-        # errstate blocks whose overflow is exact or checked right after:
-        # numcore._sigmoid, the MGU gate, adam_step, generate_oscillator.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if args.command == "simulate":
-                result = cmd_simulate(cfg, args.out, force=args.force)
-            elif args.command == "pipeline":
-                result = cmd_pipeline(cfg, args.out, force=args.force)
-            elif args.command == "classify":
-                result = cmd_classify(cfg, args.out, force=args.force)
-            elif args.command == "kde-edit":
-                etas = _cli_list(args.etas, "--etas", float, lambda v: 0.0 <= v <= 1.0,
-                                 "numbers in [0, 1]")
-                result = cmd_kde_edit(cfg, args.out, etas, force=args.force)
-            elif args.command == "sweep-dim":
-                dims = _cli_list(args.dims, "--dims", int, lambda v: v >= 1,
-                                 "dimensions of at least 1")
-                result = cmd_sweep_dim(cfg, args.out, dims, force=args.force)
-            elif args.command == "probe-orthogonality":
-                result = cmd_probe_orthogonality(cfg, args.out, force=args.force)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown command {args.command!r}")
+        spec = LIST_FLAGS.get(args.command)
+        listed = [_cli_list(vars(args)[spec.flag[2:]], args.command)] if spec else []
+        result = COMMANDS[args.command](cfg, args.out, *listed, force=args.force)
     except USAGE_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

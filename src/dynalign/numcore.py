@@ -85,7 +85,7 @@ def one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the previous count on
     exit; a no-op where no thread control was found. The count is the
     process's, so it holds in every thread while the block runs. Every
-    model trains inside it, and every DDIM run (diffusion._ddim, whose
+    model trains inside it (`fit`), and every DDIM run (diffusion._ddim, whose
     row-block lanes use the other CPUs): a second BLAS thread buys those
     GEMMs little or no wall time, spins between them, and splits the
     narrow models' sums by the thread count."""
@@ -185,14 +185,15 @@ def shuffled_batches(rng, epoch, n, size):
     return [perm[start : start + size] for start in range(0, n, size)]
 
 
+@one_blas_thread()
 def fit(params, epochs, batches, loss_and_grads, lr, what, stop=None):
-    """The Adam epoch loop of every trained model; returns the per-epoch
-    mean losses, each summed in batch order. `loss_and_grads(batch)` gives
-    (loss, grads) for each batch of `batches(epoch)`, or None to skip it.
-    A non-finite loss, or an epoch mean above 10 * max(first epoch's mean,
-    1e-12) + 1, raises NumericError; an epoch with every batch skipped,
-    InputError. `stop(mean)`, asked after each epoch, ends training early.
-    """
+    """The Adam epoch loop of every trained model, on one BLAS thread;
+    returns the per-epoch mean losses, each summed in batch order.
+    `loss_and_grads(batch)` gives (loss, grads) for each batch of
+    `batches(epoch)`, or None to skip it. A non-finite loss, or an epoch
+    mean above 10 * max(first epoch's mean, 1e-12) + 1, raises NumericError;
+    an epoch with every batch skipped, InputError. `stop(mean)`, asked after
+    each epoch, ends training early."""
     state = AdamState(params, lr=lr)
     curve = []
     for epoch in range(epochs):

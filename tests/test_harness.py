@@ -1,5 +1,7 @@
+import argparse
 import glob
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -715,12 +717,17 @@ class TestCli:
          "stage diffusion: diffusion training diverged at epoch 1"),
         ("classify", "dataset", {"mu_range": [0.5, 0.5]}, 2, "classify",
          "no fold's training set holds both classes"),
-    ], ids=["numeric", "input"])
+        # The sweep fails in its first dimension's pipeline, outside every
+        # stage of its own.
+        ("sweep-dim --dims 2", "diffusion", {"lr": 1e9}, 3, None,
+         "stage diffusion: diffusion training diverged at epoch 1"),
+    ], ids=["numeric", "input", "sweep-dim"])
     def test_failed_run_keeps_a_manifest(self, tmp_path, capsys, command, section, doc, code,
                                          stage, message):
+        command, *listed = command.split()
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({**TINY, section: {**TINY[section], **doc}}))
-        assert harness.main([command, "--config", str(cfgfile),
+        assert harness.main([command, *listed, "--config", str(cfgfile),
                              "--out", str(tmp_path / "runs")]) == code
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
@@ -730,9 +737,13 @@ class TestCli:
         assert failure["stage"] == stage and failure["exit_code"] == code
         assert message in failure["message"] and failure["message"] in err
         # The records of the stages that finished before it, and no other.
-        finished = {"dataset"} if stage == "diffusion" else {
-            "dataset", "diffusion", "latents", "encoder-classify"}
+        finished = {"pipeline": {"dataset"}, "sweep-dim": set(), "classify": {
+            "dataset", "diffusion", "latents", "encoder-classify"}}[command]
         assert set(manifest["stages"]) == finished
+        if command == "sweep-dim":
+            # The d2 pipeline's own manifest names the stage it failed in.
+            [path] = (tmp_path / "runs").glob("*/manifest-pipeline.json")
+            assert json.loads(path.read_text())["failure"]["stage"] == "diffusion"
         assert_cpu_and_peak_rss_per_entry(manifest)
         assert manifest["metrics_summary"] is None
         assert all(os.path.exists(p) for p in manifest["artifacts"])
@@ -778,6 +789,30 @@ class TestCli:
         assert proc.stderr.startswith(f"numeric failure: stage {left[:-1]}: ")
         assert message in proc.stderr
         assert not list((tmp_path / "runs" / "cache").glob(f"{left}*"))
+
+    def test_in_process_run_keeps_the_floating_point_policy(self, tmp_path):
+        # The sigma_subnormal case above, called in-process: the overflow
+        # raises where it happens, as from the CLI, not as a warning.
+        with pytest.raises(NumericError, match=r"^stage table: overflow"):
+            harness.cmd_pipeline(tiny_config(lifting={"sigma": 1e-160}), str(tmp_path))
+        [path] = tmp_path.glob("*/manifest-pipeline.json")
+        assert json.loads(path.read_text())["failure"]["stage"] == "table"
+
+    def test_parser_matches_the_registry(self):
+        parser = harness.build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(harness.COMMANDS) | {"config-schema"}
+        for name in harness.COMMANDS:
+            args = parser.parse_args([name, "--config", "c.json", "--out", "o",
+                                      "--seed", "4", "--force"])
+            assert (args.config, args.out, args.seed, args.force) == ("c.json", "o", 4, True)
+        # Each list flag's default text gives the values its command takes
+        # by default.
+        for name, spec in harness.LIST_FLAGS.items():
+            text = vars(parser.parse_args([name]))[spec.flag[2:]]
+            assert harness._cli_list(text, name) == list(spec.default)
+        etas = inspect.signature(harness.cmd_kde_edit).parameters["eta_list"].default
+        assert list(etas) == list(harness.LIST_FLAGS["kde-edit"].default)
 
     @pytest.mark.parametrize("command", ["pipeline", "kde-edit"])
     def test_floating_point_error_while_embedding_names_the_stage(self, tmp_path, monkeypatch,
