@@ -6,18 +6,15 @@ DDIM recursions map states to feature latents and back. The cumulative
 noise products use index 0..T with the t=0 boundary fixed at 1.
 """
 
-import contextvars
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import binio, numcore
 from .errors import ConfigError, NumericError, ShapeError
-from .numcore import (Mlp, Rng, condition_features, fit, one_blas_thread, shuffled_batches,
-                      sinusoidal_features)
+from .numcore import (Mlp, Rng, condition_features, fit, in_lanes, one_blas_thread,
+                      shuffled_batches, sinusoidal_features, usable_cpus)
 
 CHECKPOINT_MAGIC = b"DNZ1"
 
@@ -189,44 +186,6 @@ def invert_step(z, eps, t_lo, t_hi, sched):
     return np.sqrt(a_hi) * (z - np.sqrt(1.0 - a_lo) * eps) / root + np.sqrt(1.0 - a_hi) * eps
 
 
-def usable_cpus():
-    """The CPUs this process may run on: its affinity set where the
-    platform has one (Linux), else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_lanes(lanes):
-    """Run the callables `lanes` at once: the first in this thread, each
-    other in a thread of its own and in a copy of this thread's context,
-    which carries numpy's floating-point policy. Every thread is joined,
-    also on an error; then the first lane's exception, in lane order, is
-    raised here. Plain threads, not concurrent.futures: importing that
-    package (logging with it) raised a cold pipeline's peak RSS by 1 MB."""
-    errors = [None] * len(lanes)
-
-    def guarded(k):
-        try:
-            lanes[k]()
-        except BaseException as exc:    # re-raised in the calling thread
-            errors[k] = exc
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, k))
-               for k in range(1, len(lanes))]
-    try:
-        for thread in threads:
-            thread.start()
-        guarded(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:    # started
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def _ddim(model, z, cond, sched, transitions, step):
     """Carry (n, D) rows `z` through the DDIM `transitions`, one block of
     rows after another (see DDIM_BLOCK_ROWS), on one BLAS thread. Each
@@ -271,7 +230,7 @@ def _ddim(model, z, cond, sched, transitions, step):
                                model.net.forward_buffers(rows))
              for a, b in zip(cuts, cuts[1:])]
     with one_blas_thread():
-        _in_lanes(lanes)
+        in_lanes(lanes)
     return out
 
 

@@ -1,15 +1,20 @@
 """Dense math core: seeded randomness, Adam and the one training loop,
 pairwise distances, the small fully-connected network machinery shared by
-every trainable module, and the one-BLAS-thread pin.
+every trainable module, the one-BLAS-thread pin, and the lanes that put a
+computation on more than one CPU.
 
 All floating point is 64-bit. Gradients are hand-derived; the tests check
 them against central differences.
 """
 
 import contextlib
+import contextvars
 import ctypes
+import functools
 import hashlib
 import math
+import os
+import queue
 import threading
 
 import numpy as np
@@ -80,6 +85,20 @@ def _blas_thread_control():
 _BLAS_THREADS = _blas_thread_control()
 
 
+def _cpu_getter():
+    """libc's sched_getcpu, where the platform has it and lets a thread set
+    its own CPU affinity (Linux), else None."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+    if getcpu is not None:
+        getcpu.restype, getcpu.argtypes = ctypes.c_int, ()
+    return getcpu
+
+
+_SCHED_GETCPU = _cpu_getter()
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the previous count on
@@ -99,6 +118,142 @@ def one_blas_thread():
         yield
     finally:
         put(previous)
+
+
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def in_lanes(lanes):
+    """Run the callables `lanes` at once: the first in this thread, each
+    other in a thread of its own and in a copy of this thread's context,
+    which carries numpy's floating-point policy. Every thread is joined,
+    also on an error; then the first lane's exception, in lane order, is
+    raised here. Plain threads, not concurrent.futures: importing that
+    package (logging with it) raised a cold pipeline's peak RSS by 1 MB."""
+    errors = [None] * len(lanes)
+
+    def guarded(k):
+        try:
+            lanes[k]()
+        except BaseException as exc:    # re-raised in the calling thread
+            errors[k] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(guarded, k))
+               for k in range(1, len(lanes))]
+    try:
+        for thread in threads:
+            thread.start()
+        guarded(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:    # started
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+# fit gives a model a training lane (TrainingLane) only from this many
+# parameters up. On a 2-CPU Xeon VM (numpy 2.4.6, one BLAS thread per lane)
+# the lane took the denoiser's training on the benchmark config (216,076
+# parameters, batches of 128) from 0.566 to 0.450 s, median of 8 alternated
+# runs; it left the encoder's (about 36-40k parameters) no faster and made
+# the recurrent baselines' (about 10k) 25-80% slower: a hand-off then costs
+# about as much as the work it moves. A 2-CPU AMD EPYC VM read -28%, +5.5%
+# and +12% for the three.
+LANE_MIN_PARAMS = 100_000
+
+_LANE = contextvars.ContextVar("training lane", default=None)
+
+
+class TrainingLane:
+    """A second thread for the work a training step can do beside its
+    critical path: Mlp.backward's weight and bias gradients, once each
+    layer's delta exists, and half of each adam_step pass (_in_halves).
+    Both find the lane of the training they run in through _LANE; each task
+    writes only arrays its caller reserved for it, and the caller waits for
+    every task before it reads them."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._pending = 0
+
+    def run(self, body):
+        """Call body() in this thread, as the lane's training, with the
+        lane's thread serving beside it (in_lanes). Run it on one BLAS
+        thread, as fit does: with an OpenBLAS worker pool, a GEMM in one
+        thread waits for the other's."""
+        def training():
+            token = _LANE.set(self)
+            try:
+                body()
+            finally:
+                _LANE.reset(token)
+                self._tasks.put(None)
+
+        cpu = _SCHED_GETCPU() if _SCHED_GETCPU is not None else -1
+        in_lanes([training, functools.partial(self._serve, cpu)])
+
+    def _serve(self, training_cpu):
+        # Off the training thread's CPU (-1: unknown), where others are
+        # allowed. A thread woken for a task of a few hundred microseconds
+        # is often placed on its waker's CPU, and then takes turns with it
+        # there while another CPU idles: on a 2-CPU Xeon VM the lane gained
+        # nothing until it kept off the training thread's CPU.
+        others = os.sched_getaffinity(0) - {training_cpu} if training_cpu >= 0 else set()
+        if others:
+            try:
+                os.sched_setaffinity(0, others)
+            except OSError:     # a CPU went offline, say: the lane runs anywhere
+                pass
+        for task in iter(self._tasks.get, None):
+            try:
+                task()
+            except BaseException as exc:    # raised by wait, in the training thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def submit(self, task, *args):
+        """Start task(*args) in the lane's thread."""
+        self._pending += 1
+        self._tasks.put(functools.partial(task, *args))
+
+    def wait(self):
+        """Return once every submitted task is done; raise the first
+        task's exception, in submission order, if any raised."""
+        outcomes = [self._done.get() for _ in range(self._pending)]
+        self._pending = 0
+        for exc in outcomes:
+            if exc is not None:
+                raise exc
+
+
+def _lane_pays(n_params):
+    """Whether fit gives a model of `n_params` parameters a training lane:
+    from LANE_MIN_PARAMS up, with OpenBLAS thread control (one_blas_thread)
+    and two CPUs or more."""
+    return n_params >= LANE_MIN_PARAMS and _BLAS_THREADS is not None and usable_cpus() >= 2
+
+
+def _in_halves(task, *arrays):
+    """task(*arrays); in a training with a lane, over the first half of
+    each flat array here and the second half in the lane, at once. Only for
+    elementwise work, whose bits do not depend on the split."""
+    lane = _LANE.get()
+    if lane is None:
+        task(*arrays)
+        return
+    mid = arrays[0].size // 2
+    lane.submit(task, *(a[mid:] for a in arrays))
+    task(*(a[:mid] for a in arrays))
+    lane.wait()
 
 
 def split_count(n, fraction):
@@ -138,11 +293,36 @@ class AdamState:
         self._tmp = np.empty(n)
 
 
+def _moments(g, tmp, m, v, b1, b2):
+    """Adam's moment update of one span of the flat vectors."""
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    with np.errstate(over="ignore"):    # an overflow leaves inf in v, caught by adam_step
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+
+
+def _descend(flat, g, tmp, m, v, m_scale, v_scale, lr, eps):
+    """Adam's parameter update of one span, with the bias corrections
+    m_scale and v_scale; g and tmp are scratch."""
+    np.divide(v, v_scale, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, m_scale, out=g)
+    g *= lr
+    g /= tmp
+    flat -= g
+
+
 def adam_step(params, grads, state):
     """One in-place Adam update of the flat vector behind `params` (see
     AdamState). Returns (params, state) for chaining. A non-finite gradient
     or squared gradient raises NumericError naming its block, before any
-    parameter moves."""
+    parameter moves. In a training with a lane (TrainingLane), the lane
+    runs each pass over the second half of the vector, with the same bits."""
     g, tmp = state._g, state._tmp
     for key, lo, hi in state.blocks:
         p, gk = params[key], grads[key]
@@ -155,26 +335,14 @@ def adam_step(params, grads, state):
     t = state.step
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
-    m *= b1
-    np.multiply(g, 1.0 - b1, out=tmp)
-    m += tmp
-    v *= b2
-    with np.errstate(over="ignore"):    # an overflow leaves inf in v, caught below
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
-        v += tmp
+    _in_halves(functools.partial(_moments, b1=b1, b2=b2), g, tmp, m, v)
     if not np.isfinite(v.max()):        # v >= 0, so its max is finite iff all are
         for key, lo, hi in state.blocks:
             if not np.all(np.isfinite(v[lo:hi])):
                 what = "gradient" if not np.all(np.isfinite(g[lo:hi])) else "squared gradient"
                 raise NumericError(f"non-finite {what} in parameter block {key!r}")
-    np.divide(v, 1.0 - b2**t, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    np.divide(m, 1.0 - b1**t, out=g)
-    g *= state.lr
-    g /= tmp
-    state.flat -= g
+    _in_halves(functools.partial(_descend, m_scale=1.0 - b1**t, v_scale=1.0 - b2**t,
+                                 lr=state.lr, eps=state.eps), state.flat, g, tmp, m, v)
     return params, state
 
 
@@ -187,36 +355,43 @@ def shuffled_batches(rng, epoch, n, size):
 
 @one_blas_thread()
 def fit(params, epochs, batches, loss_and_grads, lr, what, stop=None):
-    """The Adam epoch loop of every trained model, on one BLAS thread;
-    returns the per-epoch mean losses, each summed in batch order.
-    `loss_and_grads(batch)` gives (loss, grads) for each batch of
-    `batches(epoch)`, or None to skip it. A non-finite loss, or an epoch
-    mean above 10 * max(first epoch's mean, 1e-12) + 1, raises NumericError;
-    an epoch with every batch skipped, InputError. `stop(mean)`, asked after
-    each epoch, ends training early."""
+    """The Adam epoch loop of every trained model, on one BLAS thread, with
+    a training lane where it pays (_lane_pays); returns the per-epoch mean
+    losses, each summed in batch order. `loss_and_grads(batch)` gives
+    (loss, grads) for each batch of `batches(epoch)`, or None to skip it.
+    A non-finite loss, or an epoch mean above 10 * max(first epoch's mean,
+    1e-12) + 1, raises NumericError; an epoch with every batch skipped,
+    InputError. `stop(mean)`, asked after each epoch, ends training early."""
     state = AdamState(params, lr=lr)
     curve = []
-    for epoch in range(epochs):
-        total, count = 0.0, 0
-        for batch in batches(epoch):
-            out = loss_and_grads(batch)
-            if out is None:
-                continue
-            loss, grads = out
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite {what} loss at epoch {epoch}, batch {count}")
-            # Looked up at call time, so a wrapper installed on the module sees it.
-            adam_step(params, grads, state)
-            total += loss
-            count += 1
-        if count == 0:
-            raise InputError(f"every {what} training batch degenerated")
-        mean = total / count
-        if mean > 10.0 * max(curve[0] if curve else mean, 1e-12) + 1.0:
-            raise NumericError(f"{what} training diverged at epoch {epoch}")
-        curve.append(mean)
-        if stop is not None and stop(mean):
-            break
+
+    def train():
+        for epoch in range(epochs):
+            total, count = 0.0, 0
+            for batch in batches(epoch):
+                out = loss_and_grads(batch)
+                if out is None:
+                    continue
+                loss, grads = out
+                if not np.isfinite(loss):
+                    raise NumericError(f"non-finite {what} loss at epoch {epoch}, batch {count}")
+                # Looked up at call time, so a wrapper installed on the module sees it.
+                adam_step(params, grads, state)
+                total += loss
+                count += 1
+            if count == 0:
+                raise InputError(f"every {what} training batch degenerated")
+            mean = total / count
+            if mean > 10.0 * max(curve[0] if curve else mean, 1e-12) + 1.0:
+                raise NumericError(f"{what} training diverged at epoch {epoch}")
+            curve.append(mean)
+            if stop is not None and stop(mean):
+                break
+
+    if _lane_pays(state.flat.size):
+        TrainingLane().run(train)
+    else:
+        train()
     return curve
 
 
@@ -268,6 +443,12 @@ def _sigmoid(z, out=None):
         np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
+
+
+def _layer_grads(h_in, delta, dw, db):
+    """One dense layer's weight and bias gradients, into dw and db."""
+    np.matmul(h_in.T, delta, out=dw)
+    np.sum(delta, axis=0, out=db)
 
 
 class Mlp:
@@ -370,16 +551,25 @@ class Mlp:
         return (z, cache) if want_cache else z
 
     def backward(self, cache, dout):
-        """Parameter gradients (not the input's), given d(loss)/d(out)."""
+        """Parameter gradients (not the input's), given d(loss)/d(out). In a
+        training with a lane (TrainingLane), each layer's weight and bias
+        gradients are formed there while this thread carries the delta on;
+        each layer's delta has its own array, so none is overwritten while
+        the lane reads it."""
+        lane = _LANE.get()
         grads = {}
         delta = np.asarray(dout, dtype=np.float64)
         n = delta.shape[0]
         for i in range(self.n_layers - 1, -1, -1):
             h_in, w = cache["inputs"][i], self.params[f"w{i}"]
-            grads[f"w{i}"] = np.matmul(h_in.T, delta, out=self._array(("dw", i), *w.shape))
-            grads[f"b{i}"] = np.sum(delta, axis=0, out=self._array(("db", i), w.shape[1]))
+            dw = grads[f"w{i}"] = self._array(("dw", i), *w.shape)
+            db = grads[f"b{i}"] = self._array(("db", i), w.shape[1])
+            if lane is None:
+                _layer_grads(h_in, delta, dw, db)
+            else:
+                lane.submit(_layer_grads, h_in, delta, dw, db)
             if i > 0:
-                delta = np.matmul(delta, w.T, out=self._array(("delta", i % 2), n, w.shape[0]))
+                delta = np.matmul(delta, w.T, out=self._array(("delta", i - 1), n, w.shape[0]))
                 # SiLU slope gate * (1 + z * (1 - gate)), built in one buffer.
                 z, gate = cache["pre"][i - 1], cache["gates"][i - 1]
                 slope = np.subtract(1.0, gate, out=self._array("slope", n, w.shape[0]))
@@ -387,4 +577,6 @@ class Mlp:
                 slope += 1.0
                 slope *= gate
                 delta *= slope
+        if lane is not None:
+            lane.wait()
         return grads

@@ -1,5 +1,6 @@
 """The one-BLAS-thread pin: the context manager itself, the computations
-that run inside it, and the thread-invariant bits it buys."""
+that run inside it, the thread-invariant bits it buys, and the CLI, which
+starts OpenBLAS with no worker pool."""
 import os
 import subprocess
 import sys
@@ -102,8 +103,9 @@ print(digest.hexdigest())
 
 
 # A small denoiser (the trained shape's 256-wide layers, on 12-dim states),
-# two epochs, then a 1100-row inversion: two DDIM row blocks, run in two
-# lanes where the process may use two CPUs, or serially with "serial".
+# two epochs, then a 1100-row inversion: two DDIM row blocks. Where the
+# process may use two CPUs, it trains with a training lane and inverts in two
+# lanes; with "serial" it sees one CPU, and does both in one thread.
 DENOISER_DIGEST = """
 import hashlib
 import os
@@ -155,3 +157,31 @@ def test_recurrent_training_bits_do_not_depend_on_the_blas_thread_count():
 def test_denoiser_bits_do_not_depend_on_the_blas_thread_count_or_the_lanes():
     runs = [(n, []) for n in thread_counts()] + [(2, ["serial"])]
     assert len(digests(DENOISER_DIGEST, runs)) == 1
+
+
+# The CLI entry point run as `python -m dynalign config-schema` would run it,
+# in a process that starts with a two-thread OpenBLAS environment.
+CLI_POOL = """
+import os
+import runpy
+import sys
+sys.argv = ["dynalign", "config-schema"]
+try:
+    runpy.run_module("dynalign", run_name="__main__")
+except SystemExit:
+    pass
+from dynalign import numcore
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else 1
+print(numcore._BLAS_THREADS[0](), tasks, file=sys.stderr)
+"""
+
+
+@needs_control
+def test_the_cli_starts_openblas_without_a_worker_pool():
+    src = str(Path(dynalign.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", CLI_POOL], capture_output=True, text=True,
+                          env=env, check=True)
+    # One BLAS thread, and this process's one OS thread: no pool.
+    assert proc.stderr.split() == ["1", "1"]

@@ -1,16 +1,21 @@
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dynalign.contrastive import EncoderModel
+from dynalign import numcore
+from dynalign.contrastive import EmbeddingConfig, EncoderModel, train_encoder
 from dynalign.errors import InputError, NumericError
 from dynalign.numcore import (
-    AdamState, Mlp, Rng, adam_step, fit, shuffled_batches, sinusoidal_features, sq_dists,
+    AdamState, Mlp, Rng, TrainingLane, adam_step, fit, shuffled_batches, sinusoidal_features,
+    sq_dists,
 )
-from dynalign.traversal import RecurrentPredictor
+from dynalign.traversal import RecurrentPredictor, train_recurrent
 
 
 def grad_check(loss_fn, params, perturbation=1e-4, max_coords=None, rng=None,
@@ -508,3 +513,174 @@ def test_sq_dists_holds_one_distance_array():
     # held two n x n arrays.
     bound = (n * n + 2 * 64 * n + 2 * n + n * 3) * 8 + 65536
     assert traced_peak_bytes(lambda: sq_dists(a, a)) <= bound
+
+
+needs_lane = pytest.mark.skipif(
+    numcore._BLAS_THREADS is None or numcore.usable_cpus() < 2,
+    reason="no training lane: one CPU or no OpenBLAS thread control")
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started during the test, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def recording_threads(monkeypatch, name, delay=0.0):
+    """Wrap numcore's `name` to record the threads it runs in, each call
+    starting `delay` seconds late."""
+    seen = set()
+    inner = getattr(numcore, name)
+
+    def wrapper(*args, **kwargs):
+        seen.add(threading.current_thread())
+        time.sleep(delay)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(numcore, name, wrapper)
+    return seen
+
+
+def denoiser_fit(net, loss_and_grads, epochs=2):
+    """fit over `net`'s parameters, two batches an epoch."""
+    return fit(net.params, epochs, lambda epoch: range(2), loss_and_grads, 1e-3, "lane")
+
+
+@needs_lane
+class TestTrainingLane:
+    def test_adam_keeps_every_byte_of_flat_and_both_moments(self, monkeypatch):
+        params = denoiser_net().params
+        serial = {k: v.copy() for k, v in params.items()}
+        lane = {k: v.copy() for k, v in params.items()}
+        states = AdamState(serial, lr=3e-3), AdamState(lane, lr=3e-3)
+        rng = Rng(5).stream("grads")
+        steps = [{k: rng.substream(step).stream(k).normal(v.shape) * 10.0 ** (step % 9 - 6)
+                  for k, v in params.items()} for step in range(12)]
+        for grads in steps:
+            adam_step(serial, grads, states[0])
+        ran_in = recording_threads(monkeypatch, "_moments")
+        with numcore.one_blas_thread():     # as in fit
+            TrainingLane().run(lambda: [adam_step(lane, grads, states[1]) for grads in steps])
+        assert len(ran_in) == 2
+        for name in ("flat", "m", "v"):
+            assert getattr(states[0], name).tobytes() == getattr(states[1], name).tobytes()
+
+    def test_backward_keeps_every_byte(self, monkeypatch):
+        net = denoiser_net()
+        rng = Rng(6).stream("data")
+        x, dout = rng.stream("x").normal((128, 60)), rng.stream("d").normal((128, 12))
+        _, cache = net.forward(x, want_cache=True)
+        want = backward_oracle(net, cache, dout)
+        # The lane starts each layer late, so the delta chain runs ahead of
+        # it, as it may on a busy CPU.
+        ran_in = recording_threads(monkeypatch, "_layer_grads", delay=0.005)
+        got = {}
+
+        def training():
+            with net.reused_buffers():
+                got.update((k, g.copy()) for k, g in net.backward(cache, dout).items())
+        with numcore.one_blas_thread():     # as in fit
+            TrainingLane().run(training)
+        assert ran_in and threading.current_thread() not in ran_in
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_a_nonfinite_gradient_names_its_block_and_moves_nothing(self):
+        params = denoiser_net().params
+        state = AdamState(params)
+        before = state.flat.copy()
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads["w3"][5, 7] = np.inf     # in the lane's half of the flat vector
+        assert state.blocks[-4][1] >= state.flat.size // 2
+
+        def training():
+            with pytest.raises(NumericError, match="non-finite gradient in parameter block 'w3'"):
+                adam_step(params, grads, state)
+        TrainingLane().run(training)
+        assert state.flat.tobytes() == before.tobytes()
+
+    def test_an_overflow_in_a_lane_gemm_raises_in_the_caller(self, monkeypatch):
+        # The last layer starts at zero, so only its weight and bias
+        # gradients, formed in the lane, see the huge output gradient.
+        net = Mlp([60, 256, 256, 256, 256, 12], rng=Rng(0).stream("net"), zero_init_last=True)
+        x = Rng(7).normal((128, 60))
+        ran_in = recording_threads(monkeypatch, "_layer_grads")
+        before = set(threading.enumerate())
+
+        def loss_and_grads(batch):
+            _, cache = net.forward(x, want_cache=True)
+            return 1.0, net.backward(cache, np.full((128, 12), 1e307))
+        with net.reused_buffers(), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                denoiser_fit(net, loss_and_grads)
+        assert ran_in and threading.current_thread() not in ran_in
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.skipif(numcore._SCHED_GETCPU is None, reason="no sched_getcpu")
+    def test_the_lane_keeps_off_the_training_threads_cpu_and_pins_no_other_thread(self):
+        before = os.sched_getaffinity(0)
+        seen = []
+
+        def training():
+            lane = numcore._LANE.get()
+            lane.submit(lambda: seen.append(os.sched_getaffinity(0)))
+            lane.wait()
+        TrainingLane().run(training)
+        assert len(seen[0]) == len(before) - 1 and seen[0] < before
+        assert os.sched_getaffinity(0) == before
+
+    def test_no_lane_thread_outlives_fit(self, thread_starts):
+        net = denoiser_net()
+        x, dout = Rng(8).normal((64, 60)), Rng(9).normal((64, 12)) * 1e-3
+        before = set(threading.enumerate())
+        during = set()
+
+        def loss_and_grads(batch):
+            during.update(threading.enumerate())
+            _, cache = net.forward(x, want_cache=True)
+            return 1.0, net.backward(cache, dout)
+        with net.reused_buffers():
+            assert denoiser_fit(net, loss_and_grads) == [1.0, 1.0]
+        assert len(thread_starts) == 1 and during == before | set(thread_starts)
+        assert set(threading.enumerate()) == before
+
+        def failing(batch):
+            return float("nan"), {}
+        with pytest.raises(NumericError, match="non-finite lane loss"):
+            denoiser_fit(net, failing)
+        assert len(thread_starts) == 2
+        assert set(threading.enumerate()) == before
+
+
+def test_the_encoder_and_recurrent_fits_start_no_thread(thread_starts):
+    rng = Rng(10)
+    z = rng.stream("z").normal((6, 10, 12))
+    taus = np.tile(np.linspace(0.0, 1.0, 10), (6, 1))
+    mus = rng.stream("mu").uniform(0.2, 1.0, 6)
+    cfg = EmbeddingConfig(use_condition=True, epochs=2, traj_per_batch=3, val_fraction=0.34)
+    train_encoder(EncoderModel(12, 8, use_condition=True, rng=rng.stream("enc")),
+                  z, taus, mus, cfg, rng.stream("train"))
+    train_recurrent(RecurrentPredictor(12, hidden=64, rng=rng.stream("rec")),
+                    rng.stream("seqs").normal((8, 12, 12)), 2, rng.stream("rtrain"))
+    assert thread_starts == []
+
+
+def test_one_cpu_starts_no_thread(thread_starts, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert numcore.usable_cpus() == 1
+    net = denoiser_net()
+    x, dout = Rng(8).normal((64, 60)), Rng(9).normal((64, 12)) * 1e-3
+
+    def loss_and_grads(batch):
+        _, cache = net.forward(x, want_cache=True)
+        return 1.0, net.backward(cache, dout)
+    with net.reused_buffers():
+        denoiser_fit(net, loss_and_grads)
+    assert thread_starts == []
