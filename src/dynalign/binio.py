@@ -71,6 +71,12 @@ def checked_shape(array, shape, what):
     return array
 
 
+def stored(arrays):
+    """A model's parameters from a read envelope's `arrays`, as numcore.Mlp's
+    `stored` takes them: (key, shape) -> that array, its shape checked."""
+    return lambda key, shape: checked_shape(arrays[key], shape, f"array {key!r}")
+
+
 class _Reader:
     def __init__(self, data):
         self.data = data

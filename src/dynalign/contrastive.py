@@ -118,20 +118,20 @@ def infonce_loss(batch):
 
 
 class EncoderModel:
-    """Dense map from feature latents (optionally with conditions) to R^d."""
+    """Dense map from feature latents (optionally with conditions) to R^d;
+    `stored` builds it from saved arrays instead of drawing them (Mlp)."""
 
     N_COND_FEATURES = 16
 
     def __init__(self, state_dim, embed_dim, hidden=(128, 128, 128),
-                 use_condition=False, rng=None):
+                 use_condition=False, rng=None, stored=None):
         self.state_dim = int(state_dim)
         self.embed_dim = int(embed_dim)
         self.use_condition = bool(use_condition)
         n_in = self.state_dim + (2 * self.N_COND_FEATURES if use_condition else 0)
-        self.net = Mlp(
-            [n_in, *hidden, self.embed_dim],
-            rng=rng if rng is not None else Rng(0).stream("encoder-init"),
-        )
+        if rng is None and stored is None:
+            rng = Rng(0).stream("encoder-init")
+        self.net = Mlp([n_in, *hidden, self.embed_dim], rng=rng, stored=stored)
 
     @property
     def params(self):
@@ -280,11 +280,5 @@ def save_encoder(encoder, path):
 
 def load_encoder(path):
     meta, arrays = binio.read_envelope(path, CHECKPOINT_MAGIC)
-    hidden = tuple(meta["dims"][1:-1])
-    enc = EncoderModel(
-        meta["state_dim"], meta["embed_dim"], hidden=hidden,
-        use_condition=bool(meta["use_condition"]),
-    )
-    for key, p in enc.net.params.items():
-        enc.net.params[key] = binio.checked_shape(arrays[key], p.shape, f"array {key!r}")
-    return enc
+    return EncoderModel(meta["state_dim"], meta["embed_dim"], hidden=tuple(meta["dims"][1:-1]),
+                        use_condition=bool(meta["use_condition"]), stored=binio.stored(arrays))

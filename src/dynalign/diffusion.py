@@ -65,14 +65,14 @@ class DenoiserModel:
     The diffusion step enters through sinusoidal features, each condition
     component through 16 sinusoidal features; everything is concatenated
     with z_t. The output layer starts at zero so an untrained model
-    predicts zero noise.
+    predicts zero noise; `stored` builds it from saved arrays instead (Mlp).
     """
 
     N_TIME_FEATURES = 32
     N_COND_FEATURES = 16  # per condition component
 
     def __init__(self, state_dim, T, hidden=(256, 256, 256, 256), rng=None,
-                 cond_components=2):
+                 cond_components=2, stored=None):
         self.state_dim = int(state_dim)
         self.T = int(T)
         self.cond_components = int(cond_components)
@@ -81,11 +81,10 @@ class DenoiserModel:
             + self.N_TIME_FEATURES
             + self.cond_components * self.N_COND_FEATURES
         )
-        self.net = Mlp(
-            [n_in, *hidden, self.state_dim],
-            rng=rng if rng is not None else Rng(0).stream("denoiser-init"),
-            zero_init_last=True,
-        )
+        if rng is None and stored is None:
+            rng = Rng(0).stream("denoiser-init")
+        self.net = Mlp([n_in, *hidden, self.state_dim], rng=rng, zero_init_last=True,
+                       stored=stored)
 
     @property
     def params(self):
@@ -267,9 +266,7 @@ def load_model(path):
         beta=beta,
         alpha_bar=np.concatenate([[1.0], np.cumprod(1.0 - beta)]),
     )
-    hidden = tuple(meta["dims"][1:-1])
-    model = DenoiserModel(meta["state_dim"], meta["T"], hidden=hidden,
-                          cond_components=int(meta["cond_components"]))
-    for key, p in model.net.params.items():
-        model.net.params[key] = binio.checked_shape(arrays[key], p.shape, f"array {key!r}")
+    model = DenoiserModel(meta["state_dim"], meta["T"], hidden=tuple(meta["dims"][1:-1]),
+                          cond_components=int(meta["cond_components"]),
+                          stored=binio.stored(arrays))
     return model, sched

@@ -19,7 +19,6 @@ import math
 import operator
 import os
 import re
-import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from . import analysis, binio, contrastive, diffusion, dynsim, lifting, metrics,
 from .contrastive import EmbeddingConfig
 from .errors import ConfigError, FormatError, InputError, NumericError
 from .lifting import LiftingConfig
-from .numcore import Rng, one_blas_thread, split_count
+from .numcore import Rng, Worker, one_blas_thread, peak_rss_mb, split_count
 
 CSV_HEADER = "dataset,space,method,metric,value,std,n,seed"
 
@@ -317,13 +316,6 @@ NUMERIC_FAILURES = (NumericError, FloatingPointError)
 LATENTS_MAGIC = b"LAT1"
 
 
-def _peak_rss_mb():
-    """The process's resident-set high-water mark so far, in MB (getrusage
-    reports KiB on Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
-
-
 class Workspace:
     """Output directory with keyed stage caching. It keeps one record per
     cached stage or timed block, `stages[name]`: its wall and CPU seconds,
@@ -356,23 +348,32 @@ class Workspace:
         return _hash_text("|".join(json.dumps(p, sort_keys=True, default=str) for p in trace))
 
     @contextlib.contextmanager
-    def timed(self, name):
-        """Add the wall and CPU seconds of the block to stages[name], and
-        record the process's peak RSS after it there. A numeric failure
-        raised inside, a floating-point error (see `_command`) included,
-        leaves as NumericError naming the stage."""
-        start, cpu_start = time.perf_counter(), time.process_time()
+    def named(self, name):
+        """Name stage `name` as where a failure raised inside the block
+        happened: it becomes `failed_stage`, and a numeric failure, a
+        floating-point error (see `_command`) included, leaves as
+        NumericError naming it. The innermost named block wins."""
         try:
             yield
         except Exception as exc:
-            self.failed_stage = name
-            if isinstance(exc, NUMERIC_FAILURES):
-                raise NumericError(f"stage {name}: {exc}") from exc
+            if self.failed_stage is None:
+                self.failed_stage = name
+                if isinstance(exc, NUMERIC_FAILURES):
+                    raise NumericError(f"stage {name}: {exc}") from exc
             raise
+
+    @contextlib.contextmanager
+    def timed(self, name):
+        """Add the wall and CPU seconds of the block to stages[name], and
+        record the process's peak RSS after it there; a failure inside is
+        named after the stage (`named`)."""
+        start, cpu_start = time.perf_counter(), time.process_time()
+        with self.named(name):
+            yield
         record = self.stages.setdefault(name, {"seconds": 0.0, "cpu_seconds": 0.0})
         record["seconds"] += time.perf_counter() - start
         record["cpu_seconds"] += time.process_time() - cpu_start
-        record["peak_rss_mb"] = _peak_rss_mb()
+        record["peak_rss_mb"] = peak_rss_mb()
 
     def stage(self, name, key, writer, reader):
         """Run or reuse one cached stage; returns the loaded artifact. Its
@@ -468,8 +469,9 @@ def stage_latents(ws, ds, model, sched):
 
 def _upstream(ws, emb_cfg, tag):
     """The cached chain every command starts with: dataset -> diffusion ->
-    latents -> encoder. The stages run one after another from here, never
-    inside another stage's writer, so each stage's seconds are its own."""
+    latents -> encoder (`pipeline` starts its worker before the encoder).
+    The stages run one after another, never inside another stage's writer,
+    so each stage's seconds are its own."""
     ds = stage_dataset(ws)
     model, sched = stage_diffusion(ws, ds)
     z_all = stage_latents(ws, ds, model, sched)
@@ -594,16 +596,13 @@ def hstack_images(images, pad=1):
 # Traversal benchmark (the Table-1-style comparison)
 
 
-def _space_vectors(cfg, ds, z_all, c_all):
-    """name -> (n_traj, S, dim) vectors; PCA keeps as many components as the
-    embedding has dimensions."""
-    spaces = {"Z": z_all, "C": c_all}
-    if cfg.traversal.include_pca:
-        n_traj, S, D = z_all.shape
-        d = c_all.shape[-1]
-        pca = analysis.fit_pca(_frames(z_all, ds.indices("train")), d)
-        spaces["PCA"] = analysis.pca_project(pca, z_all.reshape(-1, D)).reshape(n_traj, S, d)
-    return spaces
+def pca_vectors(cfg, ds, z_all):
+    """Every frame's latent as (n_traj, S, d) PCA coordinates, fitted on the
+    training frames; PCA keeps as many components as the embedding has
+    dimensions, up to the latents' own."""
+    n_traj, S, D = z_all.shape
+    pca = analysis.fit_pca(_frames(z_all, ds.indices("train")), cfg.embedding.d)
+    return analysis.pca_project(pca, z_all.reshape(-1, D)).reshape(n_traj, S, -1)
 
 
 def _target_frames(tcfg, S):
@@ -670,89 +669,104 @@ def _predict_targets(method, vecs, alphas, targets, tcfg, kf, rec):
     raise ValueError(f"unknown method {method!r}")
 
 
-def evaluate_traversal(cfg, ds, model, sched, z_all, c_all, table, seed_rng):
-    """Fit and score every traversal operator in every space; `c_all` holds
-    the embedded frames, (n_traj, S, d). Each (space, method) predicts every
-    (test trajectory, target) pair in one batch. Z and C predictions are
-    rendered (C's lifted to Z first), one sampling and one render per space,
-    and scored against the true frames."""
+# What every space's traversal scoring reads: the test and training
+# trajectories, the knots they share, the keyframes, the target frames, the
+# positions `at` of the rendered ones among them, and those frames' true
+# images and DDIM conditions, (test trajectory, rendered frame) rows.
+TraversalSetup = collections.namedtuple(
+    "TraversalSetup", "test_idx train_idx alphas kf targets at true_imgs conds")
+
+
+def traversal_setup(cfg, ds, model):
+    """The TraversalSetup of this dataset; trajectories with other knots
+    than the first test trajectory's are rejected."""
     tcfg = cfg.traversal
     test_idx = ds.indices("test")
-    train_idx = ds.indices("train")
     alphas = ds.alphas[test_idx[0]]
     if np.any(ds.alphas[test_idx] != alphas):
         raise InputError("test trajectories differ in their ordering parameters")
-    kf, targets = _target_frames(tcfg, z_all.shape[1])
+    kf, targets = _target_frames(tcfg, ds.xs.shape[1])
     targets = np.array(targets)
-    n_pred = len(test_idx) * len(targets)
     n_render = min(tcfg.render_targets_per_traj, len(targets))
     at = np.arange(n_render) * max(1, len(targets) // n_render)
-    # Rendered frames are trajectory-major: (test trajectory, target) rows.
     render_frames = targets[at]
     true_imgs = dynsim.render(ds.xs[np.ix_(test_idx, render_frames)], cfg.render_grid,
                               ds.mapping).reshape(-1, cfg.render_grid, cfg.render_grid)
     conds = diffusion.condition_columns(ds.taus[np.ix_(test_idx, render_frames)].ravel(),
                                         np.repeat(ds.mus[test_idx], n_render),
                                         model.cond_components)
-    rows = []
-    strips = {"truth": hstack_images(true_imgs[:n_render])}
+    return TraversalSetup(test_idx, ds.indices("train"), alphas, kf, targets, at,
+                          true_imgs, conds)
 
-    for space, vecs_all in _space_vectors(cfg, ds, z_all, c_all).items():
-        train_vecs = _frames(vecs_all, train_idx)
-        center = train_vecs.mean(axis=0)
-        scale = float(np.sqrt(np.mean((train_vecs - center) ** 2)))
-        rows.append(row(cfg, space, "all", "space_scale", scale, train_vecs.shape[0]))
 
-        rec = traversal.RecurrentPredictor(
-            vecs_all.shape[2], hidden=tcfg.recurrent_hidden,
-            rng=seed_rng.stream(f"recurrent-{space}-init"),
-        )
-        traversal.train_recurrent(
-            rec, vecs_all[train_idx], tcfg.recurrent_epochs,
-            seed_rng.stream(f"recurrent-{space}-train"), lr=tcfg.recurrent_lr,
-        )
+def score_space(cfg, setup, ds, model, sched, space, vecs_all, table, seed_rng):
+    """Fit and score every traversal operator in one space (Z, C or PCA),
+    whose (n_traj, S, dim) vectors are `vecs_all`; returns its CSV rows and
+    its strips, by "<space>-<method>". Each method predicts every (test
+    trajectory, target) pair in one batch. Z and C predictions are rendered
+    (C's lifted to Z through `table` first), in one sampling and one render,
+    and scored against the true frames."""
+    tcfg = cfg.traversal
+    test_idx, targets, at, true_imgs = setup.test_idx, setup.targets, setup.at, setup.true_imgs
+    n_pred = len(test_idx) * len(targets)
+    n_render = len(at)
+    rows, strips = [], {}
+    train_vecs = _frames(vecs_all, setup.train_idx)
+    center = train_vecs.mean(axis=0)
+    scale = float(np.sqrt(np.mean((train_vecs - center) ** 2)))
+    rows.append(row(cfg, space, "all", "space_scale", scale, train_vecs.shape[0]))
 
-        methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"]
-        if space != "Z" or tcfg.spline_in_z:
-            methods.append("spline")
-        test_vecs = vecs_all[test_idx]
-        truth = test_vecs[:, targets]
-        # (n_test, n_targets, dim) each, like truth
-        preds = [_predict_targets(m, test_vecs, alphas, targets, tcfg, kf, rec) for m in methods]
-        if space != "PCA":
-            # Every method's render targets in one sampling and one render:
-            # (method, test trajectory, target) rows.
-            z_hat = np.concatenate([pred[:, at].reshape(-1, pred.shape[2]) for pred in preds])
-            if space == "C":
-                z_hat = lifting.lift_many(table, z_hat)
-            x_hat = diffusion.ddim_sample(model, z_hat, sched, cfg.diffusion.steps,
-                                          cond=np.tile(conds, (len(methods), 1)))
-            imgs = dynsim.render(x_hat, cfg.render_grid, ds.mapping).reshape(
-                len(methods), *true_imgs.shape)
-        for i, (method, pred) in enumerate(zip(methods, preds)):
-            err = metrics.rmse(pred, truth)
-            rows.append(row(cfg, space, method, "rmse", err, n_pred))
-            rows.append(row(cfg, space, method, "rmse_norm", err / scale, n_pred))
-            _, tae, tae_std = metrics.total_abs_error(pred, truth)
-            rows.append(row(cfg, space, method, "tae", tae, len(test_idx), tae_std))
-            if space == "PCA":
-                continue
-            for metric, score in (("psnr", metrics.psnr), ("ssim", metrics.ssim)):
-                vals = score(imgs[i], true_imgs, 1.0)
-                rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
-                                vals.size, float(np.std(vals))))
-            strips[f"{space}-{method}"] = hstack_images(imgs[i][:n_render])
+    rec = traversal.RecurrentPredictor(
+        vecs_all.shape[2], hidden=tcfg.recurrent_hidden,
+        rng=seed_rng.stream(f"recurrent-{space}-init"),
+    )
+    traversal.train_recurrent(
+        rec, vecs_all[setup.train_idx], tcfg.recurrent_epochs,
+        seed_rng.stream(f"recurrent-{space}-train"), lr=tcfg.recurrent_lr,
+    )
 
-        # Geometric alignment: per test trajectory, the best planar view of
-        # the space's curve against the true latent cycle.
-        disparities = []
-        for ti in test_idx:
-            pts = vecs_all[ti]
-            flat2 = analysis.pca_project(analysis.fit_pca(pts, 2), pts)
-            disparities.append(metrics.procrustes_distance(flat2, ds.ss[ti]))
-        disparities = np.array(disparities)
-        rows.append(row(cfg, space, "alignment", "procrustes", float(disparities.mean()),
-                        disparities.size, float(disparities.std())))
+    methods = ["lerp", "slerp", "recurrent", "tex1", "tex2"]
+    if space != "Z" or tcfg.spline_in_z:
+        methods.append("spline")
+    test_vecs = vecs_all[test_idx]
+    truth = test_vecs[:, targets]
+    # (n_test, n_targets, dim) each, like truth
+    preds = [_predict_targets(m, test_vecs, setup.alphas, targets, tcfg, setup.kf, rec)
+             for m in methods]
+    if space != "PCA":
+        # Every method's render targets in one sampling and one render:
+        # (method, test trajectory, target) rows.
+        z_hat = np.concatenate([pred[:, at].reshape(-1, pred.shape[2]) for pred in preds])
+        if space == "C":
+            z_hat = lifting.lift_many(table, z_hat)
+        x_hat = diffusion.ddim_sample(model, z_hat, sched, cfg.diffusion.steps,
+                                      cond=np.tile(setup.conds, (len(methods), 1)))
+        imgs = dynsim.render(x_hat, cfg.render_grid, ds.mapping).reshape(
+            len(methods), *true_imgs.shape)
+    for i, (method, pred) in enumerate(zip(methods, preds)):
+        err = metrics.rmse(pred, truth)
+        rows.append(row(cfg, space, method, "rmse", err, n_pred))
+        rows.append(row(cfg, space, method, "rmse_norm", err / scale, n_pred))
+        _, tae, tae_std = metrics.total_abs_error(pred, truth)
+        rows.append(row(cfg, space, method, "tae", tae, len(test_idx), tae_std))
+        if space == "PCA":
+            continue
+        for metric, score in (("psnr", metrics.psnr), ("ssim", metrics.ssim)):
+            vals = score(imgs[i], true_imgs, 1.0)
+            rows.append(row(cfg, space, method, metric, float(np.mean(vals)),
+                            vals.size, float(np.std(vals))))
+        strips[f"{space}-{method}"] = hstack_images(imgs[i][:n_render])
+
+    # Geometric alignment: per test trajectory, the best planar view of
+    # the space's curve against the true latent cycle.
+    disparities = []
+    for ti in test_idx:
+        pts = vecs_all[ti]
+        flat2 = analysis.pca_project(analysis.fit_pca(pts, 2), pts)
+        disparities.append(metrics.procrustes_distance(flat2, ds.ss[ti]))
+    disparities = np.array(disparities)
+    rows.append(row(cfg, space, "alignment", "procrustes", float(disparities.mean()),
+                    disparities.size, float(disparities.std())))
     return rows, strips
 
 
@@ -841,17 +855,49 @@ def cmd_simulate(ws):
     return {"dataset": ws.path("dataset", ws.stages["dataset"]["key"]), "manifest": manifest}
 
 
+def _score_z_and_pca(cfg, setup, ds, model, sched, z_all, seed_rng):
+    """score_space's (rows, strips) of Z, and of PCA unless it is left out,
+    by space: the spaces that need no encoder."""
+    spaces = {"Z": z_all}
+    if cfg.traversal.include_pca:
+        spaces["PCA"] = pca_vectors(cfg, ds, z_all)
+    return {space: score_space(cfg, setup, ds, model, sched, space, vecs, None, seed_rng)
+            for space, vecs in spaces.items()}
+
+
 @_command("pipeline")
 def cmd_pipeline(ws):
+    """The traversal benchmark. Z and PCA need no encoder, so a worker
+    (numcore.Worker) scores them while this process trains the encoder,
+    builds the table and scores C. The `evaluate-worker` record is the
+    worker's; `evaluate` is this process's set-up, C's scoring and the wait
+    for the worker."""
     cfg = ws.cfg
-    ds, model, sched, z_all, encoder = _upstream(ws, cfg.embedding, "encoder")
-    with ws.timed("embed"):
-        c_all = embed_frames(encoder, ds, z_all)
-    table = stage_table(ws, ds, z_all, c_all)
+    ds = stage_dataset(ws)
+    model, sched = stage_diffusion(ws, ds)
+    z_all = stage_latents(ws, ds, model, sched)
     with ws.timed("evaluate"):
-        rows, strips = evaluate_traversal(
-            cfg, ds, model, sched, z_all, c_all, table, Rng(cfg.seed).stream("traversal")
-        )
+        setup = traversal_setup(cfg, ds, model)
+    seed_rng = Rng(cfg.seed).stream("traversal")
+    task = functools.partial(_score_z_and_pca, cfg, setup, ds, model, sched, z_all, seed_rng)
+    # An inline worker runs, and may fail, on entry.
+    with ws.named("evaluate-worker"), Worker(task, "evaluate-worker") as worker:
+        encoder = stage_encoder(ws, ds, z_all, cfg.embedding, "encoder")
+        with ws.timed("embed"):
+            c_all = embed_frames(encoder, ds, z_all)
+        table = stage_table(ws, ds, z_all, c_all)
+        with ws.timed("evaluate"):
+            scored = {"C": score_space(cfg, setup, ds, model, sched, "C", c_all, table,
+                                       seed_rng)}
+            with ws.named("evaluate-worker"):
+                others, ws.stages["evaluate-worker"] = worker.join()
+            scored.update(others)
+    rows = []
+    strips = {"truth": hstack_images(setup.true_imgs[:len(setup.at)])}
+    for space in ("Z", "C", "PCA"):
+        if space in scored:
+            rows += scored[space][0]
+            strips.update(scored[space][1])
     summary = {
         f"{r['space']}/{r['method']}/{r['metric']}": r["value"]
         for r in rows

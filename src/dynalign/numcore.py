@@ -1,7 +1,8 @@
 """Dense math core: seeded randomness, Adam and the one training loop,
 pairwise distances, the small fully-connected network machinery shared by
-every trainable module, the one-BLAS-thread pin, and the lanes that put a
-computation on more than one CPU.
+every trainable module, the one-BLAS-thread pin, the lanes that put a
+computation on more than one CPU, and the worker that puts one beside the
+calling process.
 
 All floating point is 64-bit. Gradients are hand-derived; the tests check
 them against central differences.
@@ -14,8 +15,14 @@ import functools
 import hashlib
 import math
 import os
+import pickle
 import queue
+import resource
+import signal
+import sys
 import threading
+import time
+import traceback
 
 import numpy as np
 
@@ -99,6 +106,20 @@ def _cpu_getter():
 _SCHED_GETCPU = _cpu_getter()
 
 
+def _death_signal_setter():
+    """Linux's prctl(PR_SET_PDEATHSIG, signal) as a function of the signal,
+    with which a Worker's child asks to be killed when the thread that
+    forked it dies; else None."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None) if sys.platform == "linux" else None
+    if prctl is None:
+        return None
+    prctl.restype, prctl.argtypes = ctypes.c_int, (ctypes.c_int, ctypes.c_ulong)
+    return functools.partial(prctl, 1)     # PR_SET_PDEATHSIG
+
+
+_SET_DEATH_SIGNAL = _death_signal_setter()
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the previous count on
@@ -156,6 +177,107 @@ def in_lanes(lanes):
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def peak_rss_mb(usage=None):
+    """A resident-set high-water mark in MB: this process's so far, or that
+    of `usage`, a getrusage or wait4 record (KiB on Linux, bytes on macOS)."""
+    peak = (usage or resource.getrusage(resource.RUSAGE_SELF)).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+class Worker:
+    """task() beside the calling process, in a child forked on entry, where
+    os.fork exists, the process may run on two CPUs or more and OpenBLAS
+    thread control was found (DDIM's lanes' condition; OpenBLAS's fork
+    handler stops its pool before a fork). Elsewhere task() runs inline, on
+    entry. The child reads the caller's data as the fork left it, sends the
+    task's result or exception pickled through one pipe, and leaves by
+    os._exit. Plain fork and a pipe, not multiprocessing: spawning would
+    import numpy again, and concurrent.futures raised peak RSS by 1 MB.
+    Enter it with no other thread of this package running (lanes are
+    joined when their call returns): a fork copies only the calling thread.
+
+    join() returns (result, record), record holding the worker's wall and
+    CPU seconds, its peak RSS and whether it forked; the task's exception is
+    raised there. A block left before join() kills and reaps the child."""
+
+    def __init__(self, task, what):
+        self.task, self.what = task, what
+        self._pid = None
+
+    @staticmethod
+    def forks():
+        """Whether a Worker entered now forks."""
+        return hasattr(os, "fork") and _BLAS_THREADS is not None and usable_cpus() >= 2
+
+    def __enter__(self):
+        start, cpu = time.perf_counter(), time.process_time()
+        if not self.forks():
+            self._result = self.task()
+            self._record = {"seconds": time.perf_counter() - start,
+                            "cpu_seconds": time.process_time() - cpu,
+                            "peak_rss_mb": peak_rss_mb(), "forked": False}
+            return self
+        read, write = os.pipe()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read)
+            self._child(write, start, parent)
+        os.close(write)
+        self._pid, self._pipe = pid, open(read, "rb")
+        return self
+
+    def _child(self, fd, start, parent):
+        try:
+            if _SET_DEATH_SIGNAL is not None:
+                _SET_DEATH_SIGNAL(signal.SIGKILL)   # die with a killed caller
+            if os.getppid() != parent:      # which may have died before that
+                return
+            try:
+                outcome = (True, self.task(), None)
+            except BaseException as exc:    # raised by join, in the caller
+                outcome = (False, exc, traceback.format_exc())
+            seconds = time.perf_counter() - start
+            try:
+                blob = pickle.dumps(outcome + (seconds,))
+                pickle.loads(blob)      # an exception the caller could not rebuild, say
+            except Exception as exc:
+                blob = pickle.dumps((False, RuntimeError(f"cannot send the outcome: {exc}"),
+                                     outcome[2] or traceback.format_exc(), seconds))
+            with open(fd, "wb") as fh:
+                fh.write(blob)
+        finally:
+            os._exit(0)
+
+    def join(self):
+        """The task's result and the worker's record, once the child has
+        sent the whole result and been reaped."""
+        if self._pid is None:
+            return self._result, self._record
+        with self._pipe:    # read to the end before wait4: a result can
+            blob = self._pipe.read()    # exceed the pipe's buffer
+        _, status, usage = os.wait4(self._pid, 0)
+        self._pid = None
+        try:
+            ok, value, child_traceback, seconds = pickle.loads(blob)
+        except Exception:   # no bytes, or a part of them: the child died first
+            raise RuntimeError(f"{self.what}: the worker process ended (exit status "
+                               f"{os.waitstatus_to_exitcode(status)}) without sending "
+                               "its result") from None
+        if not ok:
+            raise value from RuntimeError(f"{self.what}, in the worker process:\n"
+                                          f"{child_traceback}")
+        return value, {"seconds": seconds, "cpu_seconds": usage.ru_utime + usage.ru_stime,
+                       "peak_rss_mb": peak_rss_mb(usage), "forked": True}
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pipe.close()
+            self._pid = None
 
 
 # fit gives a model a training lane (TrainingLane) only from this many
@@ -457,19 +579,25 @@ class Mlp:
     Parameters live in a flat dict ("w0", "b0", "w1", ...) so they plug
     straight into fit. The last layer is linear;
     zero_init_last starts it at zero (useful for noise predictors whose
-    initial output should vanish).
+    initial output should vanish). With `stored`, a function (key, shape)
+    -> array, every parameter is taken from it instead (a saved model's
+    arrays), and nothing is drawn.
     """
 
-    def __init__(self, dims, rng=None, zero_init_last=False):
+    def __init__(self, dims, rng=None, zero_init_last=False, stored=None):
         if len(dims) < 2:
             raise ValueError("dims needs at least input and output sizes")
         self.dims = list(int(d) for d in dims)
-        if rng is None:
+        if rng is None and stored is None:
             rng = Rng(0).stream("mlp-init")
         self.params = {}
         n_layers = len(self.dims) - 1
         for i in range(n_layers):
             fan_in, fan_out = self.dims[i], self.dims[i + 1]
+            if stored is not None:
+                self.params[f"w{i}"] = stored(f"w{i}", (fan_in, fan_out))
+                self.params[f"b{i}"] = stored(f"b{i}", (fan_out,))
+                continue
             if zero_init_last and i == n_layers - 1:
                 w = np.zeros((fan_in, fan_out))
             else:

@@ -2,6 +2,7 @@
 that run inside it, the thread-invariant bits it buys, and the CLI, which
 starts OpenBLAS with no worker pool."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,15 +160,17 @@ def test_denoiser_bits_do_not_depend_on_the_blas_thread_count_or_the_lanes():
     assert len(digests(DENOISER_DIGEST, runs)) == 1
 
 
-# The CLI entry point run as `python -m dynalign config-schema` would run it,
-# in a process that starts with a two-thread OpenBLAS environment.
+# A `dynalign config-schema` run in a process that starts with a two-thread
+# OpenBLAS environment, launched by `launch`; it reports the BLAS thread count
+# and the process's OS threads.
 CLI_POOL = """
+import importlib
 import os
 import runpy
 import sys
 sys.argv = ["dynalign", "config-schema"]
 try:
-    runpy.run_module("dynalign", run_name="__main__")
+    {launch}
 except SystemExit:
     pass
 from dynalign import numcore
@@ -178,10 +181,16 @@ print(numcore._BLAS_THREADS[0](), tasks, file=sys.stderr)
 
 @needs_control
 def test_the_cli_starts_openblas_without_a_worker_pool():
-    src = str(Path(dynalign.__file__).parents[1])
+    root = Path(dynalign.__file__).parents[2]
+    # The installed command calls the function pyproject.toml's script names.
+    module, function = re.search(r'^dynalign = "([\w.]+):(\w+)"$',
+                                 (root / "pyproject.toml").read_text(), re.M).groups()
+    launchers = ['runpy.run_module("dynalign", run_name="__main__")',     # python -m
+                 f"sys.exit(importlib.import_module({module!r}).{function}())"]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", CLI_POOL], capture_output=True, text=True,
-                          env=env, check=True)
-    # One BLAS thread, and this process's one OS thread: no pool.
-    assert proc.stderr.split() == ["1", "1"]
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    for launch in launchers:
+        proc = subprocess.run([sys.executable, "-c", CLI_POOL.format(launch=launch)],
+                              capture_output=True, text=True, env=env, check=True)
+        # One BLAS thread, and this process's one OS thread: no pool.
+        assert proc.stderr.split() == ["1", "1"], launch

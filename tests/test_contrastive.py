@@ -9,6 +9,7 @@ from dynalign.contrastive import (
 )
 from dynalign.errors import ConfigError, InputError, ShapeError
 from dynalign.numcore import Rng
+from test_diffusion import no_rng
 from test_numcore import grad_check
 
 
@@ -373,3 +374,13 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_encoder(path)
     z = Rng(9).normal((4, 6))
     assert np.array_equal(embed(enc, z), embed(back, z))
+
+
+def test_loading_draws_nothing(tmp_path, monkeypatch):
+    enc = EncoderModel(6, 3, hidden=(16, 16), use_condition=True, rng=Rng(8))
+    path = tmp_path / "enc.bin"
+    save_encoder(enc, path)
+    monkeypatch.setattr(Rng, "__init__", no_rng)
+    back = load_encoder(path)
+    assert back.use_condition and back.params.keys() == enc.params.keys()
+    assert all(back.params[k].tobytes() == v.tobytes() for k, v in enc.params.items())

@@ -7,12 +7,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from conftest import RECORDED_NUMPY, recorded_build
-from dynalign import binio, harness, traversal
+from dynalign import binio, harness, numcore, traversal
 from dynalign.errors import ConfigError, FormatError, InputError, NumericError
 
 
@@ -339,7 +340,7 @@ class TestBatchedPrediction:
         ds = harness.stage_dataset(ws)
         ds.alphas[ds.indices("test")[-1]] **= 2
         with pytest.raises(InputError, match="ordering parameters"):
-            harness.evaluate_traversal(cfg, ds, None, None, ds.xs, ds.xs, None, None)
+            harness.traversal_setup(cfg, ds, None)
 
 
 def test_spline_in_z_without_pca(tmp_path):
@@ -377,6 +378,12 @@ class TestSweepAndErrors:
         assert names.count("manifest-pipeline.json") == 2
         assert all(os.path.exists(p) for p in manifest["artifacts"])
 
+    def test_an_embedding_wider_than_the_latents_keeps_every_pca_component(self, tmp_path):
+        # TINY's latents have 6 dimensions; PCA cannot keep 8.
+        res = harness.cmd_sweep_dim(tiny_config(), str(tmp_path), [8])
+        pca = {r["method"] for r in res["rows"] if r["space"] == "PCA"}
+        assert {"recurrent", "spline", "alignment"} <= pca
+
     def test_constant_mu_probe_errors(self, tmp_path):
         cfg = tiny_config(dataset={"mu_range": [0.7, 0.7]})
         with pytest.raises(Exception, match="regression undefined"):
@@ -387,6 +394,77 @@ class TestSweepAndErrors:
         assert set(res["values"]) == {"Z", "C"}
         for v in res["values"].values():
             assert np.isfinite(v) and 0.0 <= v <= 1.0
+
+
+def inline_worker(monkeypatch):
+    """Make pipeline's worker run inline, as on one CPU."""
+    monkeypatch.setattr(numcore, "usable_cpus", lambda: 1)
+
+
+class TestEvaluateWorker:
+    """`pipeline` scores Z and PCA in a worker (numcore.Worker) while it
+    trains the encoder and scores C: a forked child where one may be, else
+    inline, right after the latents."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep-dim"])
+    def test_inline_and_forked_write_the_same_bytes(self, tmp_path, monkeypatch, command):
+        forks = numcore.Worker.forks()
+        forked = COMMANDS[command](tiny_config(), str(tmp_path / "forked"))
+        inline_worker(monkeypatch)
+        inline = COMMANDS[command](tiny_config(), str(tmp_path / "inline"))
+        assert output_digest(str(tmp_path / "forked")) == output_digest(str(tmp_path / "inline"))
+        for res, was_forked in ((forked, forks), (inline, False)):
+            records = json.load(open(res["manifest"]))["stages"]
+            workers = [r for name, r in records.items() if name.endswith("evaluate-worker")]
+            assert len(workers) == (2 if command == "sweep-dim" else 1)
+            assert all(r["forked"] is was_forked for r in workers)
+
+    @pytest.mark.parametrize("where", ["forked", "inline"])
+    @pytest.mark.parametrize("exc,code,line", [
+        (FloatingPointError("overflow encountered in multiply"), 3,
+         "numeric failure: stage evaluate-worker: overflow encountered in multiply"),
+        (InputError("no PCA here"), 2, "error: no PCA here"),
+    ], ids=["numeric", "input"])
+    def test_a_failure_in_the_worker_exits_with_its_code(self, tmp_path, capsys, monkeypatch,
+                                                          where, exc, code, line):
+        if where == "inline":
+            inline_worker(monkeypatch)
+        score = harness.score_space
+
+        def failing(cfg, setup, ds, model, sched, space, *rest):
+            if space == "PCA":
+                raise exc
+            return score(cfg, setup, ds, model, sched, space, *rest)
+        monkeypatch.setattr(harness, "score_space", failing)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(TINY))
+        assert harness.main(["pipeline", "--config", str(cfgfile),
+                             "--out", str(tmp_path / "runs")]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == line + "\n"
+        [path] = (tmp_path / "runs").glob("*/manifest-pipeline.json")
+        failure = json.loads(path.read_text())["failure"]
+        assert failure["stage"] == "evaluate-worker" and failure["exit_code"] == code
+
+    @pytest.mark.skipif(not numcore.Worker.forks(), reason="the worker runs inline here")
+    def test_a_failure_beside_the_worker_kills_and_reaps_it(self, tmp_path, monkeypatch):
+        score = harness.score_space
+
+        def slow(cfg, setup, ds, model, sched, space, *rest):
+            if space != "C":
+                time.sleep(60)
+            return score(cfg, setup, ds, model, sched, space, *rest)
+
+        def failing(*args):
+            raise NumericError("boom")
+        monkeypatch.setattr(harness, "score_space", slow)
+        monkeypatch.setattr(harness, "stage_encoder", failing)
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="boom"):
+            harness.cmd_pipeline(tiny_config(), str(tmp_path))
+        assert time.perf_counter() - start < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStageChain:
@@ -413,6 +491,9 @@ class TestStageChain:
         assert name in manifest["stages"]
         if command in ("pipeline", "kde-edit"):
             assert "embed" in manifest["stages"]
+        if command == "pipeline":
+            worker = manifest["stages"]["evaluate-worker"]
+            assert worker["forked"] is numcore.Worker.forks()
         assert_cpu_and_peak_rss_per_entry(manifest)
 
     def test_kde_table_follows_kde_dimension(self, tmp_path):

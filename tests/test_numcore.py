@@ -684,3 +684,49 @@ def test_one_cpu_starts_no_thread(thread_starts, monkeypatch):
     with net.reused_buffers():
         denoiser_fit(net, loss_and_grads)
     assert thread_starts == []
+
+
+needs_fork = pytest.mark.skipif(not numcore.Worker.forks(),
+                                reason="the worker runs inline: one CPU, no os.fork "
+                                       "or no OpenBLAS thread control")
+
+
+class TestWorker:
+    @pytest.mark.parametrize("cpus", [1, None], ids=["inline", "where-it-may-fork"])
+    def test_returns_a_result_larger_than_a_pipe_buffer(self, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(numcore, "usable_cpus", lambda: cpus)
+        want = np.arange(100_000.0)     # 800 kB
+        with numcore.Worker(lambda: want.copy(), "big") as worker:
+            got, record = worker.join()
+        assert got.tobytes() == want.tobytes()
+        assert record["forked"] is numcore.Worker.forks()
+        assert record["seconds"] >= 0.0 and record["cpu_seconds"] >= 0.0
+        assert record["peak_rss_mb"] > 10.0
+
+    @needs_fork
+    def test_raises_the_task_exception_in_the_caller(self):
+        def task():
+            raise NumericError("in the child")
+        with numcore.Worker(task, "failing") as worker:
+            with pytest.raises(NumericError, match="^in the child$") as info:
+                worker.join()
+        assert str(info.value.__cause__).startswith("failing, in the worker process:")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    def test_a_child_that_dies_without_a_result_fails_naming_it(self):
+        with numcore.Worker(lambda: os._exit(7), "dying") as worker:
+            with pytest.raises(RuntimeError, match=r"^dying: .*\(exit status 7\) without"):
+                worker.join()
+
+    @needs_fork
+    def test_leaving_the_block_early_kills_and_reaps_the_child(self):
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            with numcore.Worker(lambda: time.sleep(60), "sleeping"):
+                raise KeyError("caller")
+        assert time.perf_counter() - start < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
